@@ -5,7 +5,7 @@ classify, template, dgm, witness, replay, repro.  Output is human-readable by
 default; --records switches to line-delimited key=value records in which every
 line parses independently.  Exit statuses: 0 ok, 2 claim false, 3 infeasible,
 4 budget exceeded, 64 usage error.  ZEROSUM_BUDGET overrides the default
-search budget.
+limit on DP cells per search; a negative or non-integer limit is a usage error.
 """
 
 from __future__ import annotations
@@ -29,12 +29,12 @@ from .sequences import (
 )
 from .products import (
     BudgetExceeded,
-    default_budget,
     find_arrangement,
     format_witness_line,
     has_product_one,
     parse_witness_line,
     pi_set,
+    resolve_budget,
     subproducts,
     verify_witness,
 )
@@ -94,13 +94,14 @@ def _load_sequence(path: str, expected_group: str | None = None) -> Sequence:
 
 
 def _budget(args) -> int:
-    return args.budget if args.budget is not None else default_budget()
+    return resolve_budget(args.budget)
 
 
 def _add_common(p: argparse.ArgumentParser, *, seq=False, group=False, budget=True):
     p.add_argument("--records", action="store_true", help="line-delimited key=value output")
     if budget:
-        p.add_argument("--budget", type=int, default=None, help="search-state budget")
+        p.add_argument("--budget", type=int, default=None,
+                       help="limit on DP cells per search (default: ZEROSUM_BUDGET or 10^8)")
     if seq:
         p.add_argument("--seq", required=True, help="sequence file")
         p.add_argument("--group", default=None,
@@ -149,7 +150,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("dgm", help="subproduct lower-bound report, or seeded fuzzing")
     p.add_argument("--records", action="store_true")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=None,
+                   help="limit on DP cells per search (default: ZEROSUM_BUDGET or 10^8)")
     p.add_argument("--seq", help="sequence file (single check)")
     p.add_argument("--group", default=None, help="optional group literal cross-check")
     p.add_argument("--n", type=int, help="subproduct length (single check)")
@@ -394,7 +396,7 @@ def _cmd_witness(args, out: _Out) -> int:
     if fam is not None and args.k == 6 * fam.n2 and seq.length >= 9 * fam.n2 - 1:
         trace: list[str] = []
         try:
-            w = find_big_product_one(seq, budget=args.budget, trace=trace)
+            w = find_big_product_one(seq, budget=_budget(args), trace=trace)
             via = trace[-1].split("rung=")[1].split()[0]
         except WitnessSearchExhausted:
             w = None
@@ -415,7 +417,7 @@ def _cmd_replay(args, out: _Out) -> int:
     fam = family_context(seq.group)
     trace: list[str] = []
     try:
-        w = find_big_product_one(seq, budget=args.budget, trace=trace)
+        w = find_big_product_one(seq, budget=_budget(args), trace=trace)
     except WitnessSearchExhausted:
         w = None
     if args.trace or out.records:

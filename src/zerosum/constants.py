@@ -145,8 +145,6 @@ def _is_free(seq: Sequence, k: int | None, budget: int | None) -> bool:
     # k=None: free of product-one subsequences of every positive length.
     if k is None:
         return not product_one_lengths(seq, budget)
-    if k > seq.length:
-        return True
     return has_product_one(seq, k, budget) is None
 
 

@@ -344,8 +344,11 @@ def stabilizer(g: GroupSpec, members: Iterable[Element]) -> Subgroup:
     aset = frozenset(g.check(u) for u in members)
     if not aset:
         raise GroupError("stabilizer of the empty set is undefined")
+    # left multiplication is injective, so hA is inside A exactly when hA = A
+    idx = [g.element_index(a) for a in aset]
+    inside = set(idx)
     stab = frozenset(
-        h for h in g.elements() if frozenset(g.mul(h, a) for a in aset) == aset
+        h for h, row in zip(g.elements(), mul_table(g)) if all(row[i] in inside for i in idx)
     )
     assert (len(stab) == g.order) == (len(aset) == g.order)
     return Subgroup(g, stab, "stab")

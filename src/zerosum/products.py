@@ -1,17 +1,24 @@
-"""Exact product-set computation: pi(S), Pi_n(S), product-one witnesses.
+"""Exact product-set computation: pi(S), Pi_k(S), product-one witnesses.
 
-Two kernels back every operation:
+One kernel backs every operation.  In an ordering of terms x^e y^a over
+C_n x|_s C_2, a term adds a*s^c to the y-exponent of the product, where c is
+the parity of the number of x-terms after it (s^2 = 1).  With t x-terms,
+ceil(t/2) of them get c = 0 and floor(t/2) get c = 1; the y-terms take either
+class when t >= 1 and only class 0 when t = 0.  Every such class assignment
+is realized by the ordering
 
-* an order-free bitmask DP over y-exponent sums, used whenever the support
-  lies in <y> (or the group is cyclic) — there every ordering gives the same
-  product, so only (copies used, exponent sum) matters;
-* a memoized breadth search over states (remaining-counts vector, current
-  product) for the general non-abelian case, with one parent pointer per
-  state (first reached wins, ties broken by canonical element order) so that
-  witnesses are deterministic.
+    ... X0[1] X1[0] Y1... X0[0] Y0...
 
-Budgets count visited states; exceeding one raises BudgetExceeded rather than
-truncating — exactness is the contract.
+(read from the right, the x-terms alternate classes 0, 1, 0, ...), so Pi_k(S)
+is a bounded-multiplicity subset sum over Z_n.  The kernel runs it as a DP
+over (copies used, x0 - x1, has-x) states mapped to bitmasks over Z_n, with
+one table per support entry so that a backtrack recovers the (j0, j1) class
+counts of every entry, and from them a witness ordering.  Over <y>, or over a
+cyclic group, no x-term exists and the DP is the plain subset sum (t = 0).
+
+Budgets count DP cells, n per (copies, x0 - x1, has-x) slot that a support
+entry's table fills: one per residue of Z_n in the slot's bitmask.  Exceeding
+one raises BudgetExceeded rather than truncating — exactness is the contract.
 """
 
 from __future__ import annotations
@@ -20,39 +27,53 @@ import os
 from dataclasses import dataclass
 from typing import Callable
 
-from .groups import Element, GroupSpec, Subgroup, format_element, mul_table, parse_element, stabilizer
+from .groups import Element, GroupSpec, Subgroup, format_element, parse_element, stabilizer
 from .sequences import Sequence
 
 DEFAULT_BUDGET = 100_000_000
 
 
-def default_budget() -> int:
-    env = os.environ.get("ZEROSUM_BUDGET")
-    if env:
+def resolve_budget(budget: int | None = None) -> int:
+    """The DP-cell limit: `budget` if given, else ZEROSUM_BUDGET, else the default.
+
+    A negative or non-integer value raises ValueError instead of falling back.
+    """
+    source = "budget"
+    if budget is None:
+        env = os.environ.get("ZEROSUM_BUDGET")
+        if not env:
+            return DEFAULT_BUDGET
+        source = "ZEROSUM_BUDGET"
         try:
-            return int(env)
+            budget = int(env)
         except ValueError:
-            pass
-    return DEFAULT_BUDGET
+            budget = env
+    if not isinstance(budget, int) or budget < 0:
+        raise ValueError(f"{source} must be a non-negative integer, got {budget!r}")
+    return budget
 
 
 class BudgetExceeded(RuntimeError):
-    def __init__(self, states: int):
-        super().__init__(f"search budget exceeded after {states} states; raise --budget to continue")
-        self.states = states
+    def __init__(self, used: int, limit: int):
+        super().__init__(
+            f"search budget exceeded: {used} DP cells used, limit {limit}; "
+            "raise --budget to continue"
+        )
+        self.used = used
+        self.limit = limit
 
 
 class _Budget:
     __slots__ = ("limit", "used")
 
     def __init__(self, limit: int | None):
-        self.limit = limit if limit is not None else default_budget()
+        self.limit = resolve_budget(limit)
         self.used = 0
 
     def spend(self, amount: int = 1) -> None:
         self.used += amount
         if self.used > self.limit:
-            raise BudgetExceeded(self.limit)
+            raise BudgetExceeded(self.used, self.limit)
 
 
 @dataclass(frozen=True)
@@ -80,159 +101,244 @@ def _is_y_supported(seq: Sequence) -> bool:
     return all(el.eps == 0 for el, _ in seq.counts)
 
 
-# -- order-free DP over exponent sums -----------------------------------------
+# -- the sign-class DP -----------------------------------------------------------
 
 
-class _AdditiveDP:
-    """Bounded-multiplicity subset sums over Z_m with witness reconstruction.
+class _SignClassDP:
+    """Sign-class subset sums over Z_n, with one table per entry for backtracking.
 
-    dp[i][k] is the bitmask of reachable sums using k copies drawn from the
-    first i support entries.
+    `entries` lists (is_x, residue, count) with every x-entry before every
+    y-entry, so has-x is settled before any y-term picks a class.  A pick of
+    j0 copies in class 0 and j1 in class 1 adds j0*a + j1*a*s.  Only copy
+    counts in [lo, hi] survive to the end: states that can no longer reach lo
+    copies, or a balance x0 - x1 in {0, 1}, are dropped as they arise.
+
+    x-phase tables map copies c to {x0 - x1: mask}.  y-phase tables
+    are triples (lane0, even, odd) of lists over c: lane0 holds t = 0, where
+    y-terms take class 0 only, and even/odd hold t >= 1 by the parity of t,
+    which is the eps of the product.
     """
 
-    def __init__(self, pairs: list[tuple[int, int]], m: int, max_level: int, budget: _Budget):
-        self.pairs = pairs  # (residue, count) in canonical order
-        self.m = m
-        self.max_level = max_level
-        full = (1 << m) - 1
-        tables = [[1] + [0] * max_level]
-        dp = tables[0]
-        for res, cnt in pairs:
-            budget.spend(max_level + 1)
-            ndp = [0] * (max_level + 1)
-            for k in range(max_level + 1):
-                acc = 0
-                for j in range(min(cnt, k) + 1):
-                    prev = dp[k - j]
-                    if not prev:
-                        continue
-                    r = (res * j) % m
-                    acc |= ((prev << r) | (prev >> (m - r))) & full if r else prev
-                ndp[k] = acc
-            tables.append(ndp)
-            dp = ndp
-        self.tables = tables
-
-    def reachable(self, k: int) -> int:
-        return self.tables[-1][k]
-
-    def hits(self, k: int, target: int) -> bool:
-        return bool(self.tables[-1][k] >> target & 1)
-
-    def pick(self, k: int, target: int) -> list[tuple[int, int]]:
-        """Copies per support index realizing the target sum at level k."""
-        assert self.hits(k, target)
-        out = []
-        for i in range(len(self.pairs), 0, -1):
-            res, cnt = self.pairs[i - 1]
-            for j in range(min(cnt, k) + 1):
-                want = (target - res * j) % self.m
-                if self.tables[i - 1][k - j] >> want & 1:
-                    if j:
-                        out.append((i - 1, j))
-                    k -= j
-                    target = want
-                    break
-            else:  # pragma: no cover - contradicts hits()
-                raise AssertionError("DP backtrack failed")
-        out.reverse()
-        return out
-
-
-def _additive_dp(seq: Sequence, max_level: int, budget: _Budget) -> _AdditiveDP:
-    pairs = [(el.a % seq.group.n, m) for el, m in seq.counts]
-    return _AdditiveDP(pairs, seq.group.n, max_level, budget)
-
-
-def _additive_witness(seq: Sequence, dp: _AdditiveDP, k: int, target_a: int) -> ProductWitness:
-    support = seq.support
-    picks = dp.pick(k, target_a)
-    elements: list[Element] = []
-    for idx, copies in picks:
-        elements.extend([support[idx]] * copies)
-    g = seq.group
-    prod = g.identity
-    for el in elements:
-        prod = g.mul(prod, el)
-    assert prod.a == target_a and prod.eps == 0
-    return ProductWitness(tuple(elements), prod)
-
-
-# -- general memoized state search ---------------------------------------------
-
-
-class _Explorer:
-    """Breadth search over (remaining-counts, product) states with parents."""
-
-    def __init__(self, seq: Sequence, budget: _Budget):
-        g = seq.group
-        self.seq = seq
-        self.group = g
-        self.support = seq.support
-        self.counts = tuple(m for _, m in seq.counts)
-        self.table = mul_table(g)
-        self.sup_idx = tuple(g.element_index(el) for el in self.support)
-        self.identity_idx = g.element_index(g.identity)
-        start = (self.counts, self.identity_idx)
-        self.parents: dict = {start: None}
-        self.levels: list[dict] = [{start: None}]
-        self.budget = budget
-        budget.spend()
-
-    def run(self, max_level: int, stop: tuple[int, int] | None = None):
-        """Expand levels up to max_level; optionally stop early when the
-        (level, product-index) target becomes reachable."""
-        while len(self.levels) - 1 < max_level:
-            level = len(self.levels)
-            frontier: dict = {}
-            row = self.table
-            for (counts, prod) in self.levels[-1]:
-                prow = row[prod]
-                for i, c in enumerate(counts):
-                    if not c:
-                        continue
-                    nc = counts[:i] + (c - 1,) + counts[i + 1 :]
-                    nst = (nc, prow[self.sup_idx[i]])
-                    if nst not in self.parents:
-                        self.budget.spend()
-                        self.parents[nst] = ((counts, prod), i)
-                        frontier[nst] = None
-                        if stop is not None and level == stop[0] and nst[1] == stop[1]:
-                            self.levels.append(frontier)
-                            return
-            self.levels.append(frontier)
-            if not frontier:
+    def __init__(
+        self,
+        entries: list[tuple[bool, int, int]],
+        n: int,
+        s: int,
+        lo: int,
+        hi: int,
+        budget: _Budget,
+    ):
+        self.entries = entries
+        self.n = n
+        self.s = s
+        full = (1 << n) - 1
+        rem = xrem = 0  # copies, and x-copies, in the entries still to come
+        for is_x, _, cnt in entries:
+            rem += cnt
+            if is_x:
+                xrem += cnt
+        table: dict[int, dict[int, int]] = {0: {0: 1}}
+        self.xtables = [table]
+        for is_x, a, cnt in entries:
+            if not is_x:
                 break
+            rem -= cnt
+            xrem -= cnt
+            delta = a * (s - 1) % n
+            new: dict[int, dict[int, int]] = {}
+            for c, row in table.items():
+                for cc in range(max(0, lo - rem - c), min(cnt, hi - c) + 1):
+                    nc = c + cc
+                    room = xrem if xrem < hi - nc else hi - nc
+                    nrow = new.get(nc)
+                    if nrow is None:
+                        nrow = new[nc] = {}
+                    base = cc * a
+                    for d, mask in row.items():
+                        # j1 of the cc copies go to class 1; x0 - x1 must stay
+                        # within `room` of {0, 1}
+                        j1_lo = (d + cc - room) // 2
+                        j1_hi = (d + cc + room) // 2
+                        if j1_lo < 0:
+                            j1_lo = 0
+                        if j1_hi > cc:
+                            j1_hi = cc
+                        for j1 in range(j1_lo, j1_hi + 1):
+                            r = (base + j1 * delta) % n
+                            nd = d + cc - 2 * j1
+                            nrow[nd] = nrow.get(nd, 0) | (
+                                ((mask << r) | (mask >> (n - r))) & full if r else mask
+                            )
+            budget.spend(n * sum(map(len, new.values())))
+            table = new
+            self.xtables.append(table)
 
-    def products_at(self, level: int) -> set[int]:
-        if level >= len(self.levels):
-            return set()
-        return {prod for (_, prod) in self.levels[level]}
+        zeros = [0] * (hi + 1)
+        lane0 = list(zeros)
+        even, odd = list(zeros), list(zeros)
+        used1 = -1  # most copies in the t >= 1 lanes; -1 while they are empty
+        for c, row in table.items():
+            if not c:
+                lane0[0] = row.get(0, 0)
+            elif row:
+                even[c] = row.get(0, 0)
+                odd[c] = row.get(1, 0)
+                used1 = max(used1, c)
+        self.ytables = [(lane0, even, odd)]
+        used0 = 0 if lane0[0] else -1  # the same for lane0
+        for _, a, cnt in entries[len(self.xtables) - 1 :]:
+            rem -= cnt
+            low = lo - rem if lo > rem else 0
+            slots = 0
+            if used0 >= 0:
+                # t = 0: the plain bounded subset sum, class 0 only
+                old, lane0 = lane0, list(zeros)
+                top = used0 + cnt if used0 + cnt < hi else hi
+                for c in range(low, top + 1):
+                    acc = 0
+                    for j in range(c - used0 if c > used0 else 0, (cnt if cnt < c else c) + 1):
+                        prev = old[c - j]
+                        if prev:
+                            r = a * j % n
+                            acc |= ((prev << r) | (prev >> (n - r))) & full if r else prev
+                    lane0[c] = acc
+                used0 = top
+                slots += max(0, top - low + 1)
+            if used1 >= 0:
+                even = self._y_lane(even, used1, cnt, a, low, hi)
+                odd = self._y_lane(odd, used1, cnt, a, low, hi)
+                used1 = min(hi, used1 + cnt)
+                slots += 2 * max(0, used1 - low + 1)
+            budget.spend(n * slots)
+            self.ytables.append((lane0, even, odd))
 
-    def state_at(self, level: int, prod: int):
-        for st in self.levels[level]:
-            if st[1] == prod:
-                return st
-        return None
+    def _y_lane(self, lane, used, cnt, a, low, hi):
+        # t >= 1: j0 + j1 = cc copies add cc*a + j1*a*(s-1), so the masks of
+        # all splits of cc accumulate in w as cc grows.
+        n = self.n
+        full = (1 << n) - 1
+        delta = a * (self.s - 1) % n
+        new = [0] * (hi + 1)
+        for c in range(used + 1):
+            mask = lane[c]
+            if not mask:
+                continue
+            w = mask
+            for cc in range(min(cnt, hi - c) + 1):
+                if cc and delta:
+                    r = cc * delta % n
+                    if r:
+                        w |= ((mask << r) | (mask >> (n - r))) & full
+                nc = c + cc
+                if nc < low:
+                    continue
+                r = cc * a % n
+                new[nc] |= ((w << r) | (w >> (n - r))) & full if r else w
+        return new
 
-    def arrange(self, state) -> tuple[Element, ...]:
-        path = []
-        cur = state
-        while self.parents[cur] is not None:
-            prev, i = self.parents[cur]
-            path.append(self.support[i])
-            cur = prev
-        path.reverse()
-        return tuple(path)
+    def reachable(self, k: int) -> tuple[int, int]:
+        """Masks of the y-exponents reachable with k copies, for eps 0 and 1."""
+        lane0, even, odd = self.ytables[-1]
+        return lane0[k] | even[k], odd[k]
+
+    def pick(self, k: int, eps: int, target: int) -> list[tuple[int, int]] | None:
+        """(j0, j1) class counts per entry realizing (eps, target) with k copies."""
+        n, s = self.n, self.s
+        lane0, even, odd = self.ytables[-1]
+        if eps == 0 and lane0[k] >> target & 1:
+            lane = 0
+        elif (odd if eps else even)[k] >> target & 1:
+            lane = 1 + eps
+        else:
+            return None
+        nx = len(self.xtables) - 1
+        picks = []
+        c, v = k, target
+        for i in range(len(self.ytables) - 1, 0, -1):
+            _, a, cnt = self.entries[nx + i - 1]
+            prev = self.ytables[i - 1][lane]
+            delta = a * (s - 1) % n if lane else 0
+            for cc in range(min(cnt, c) + 1):
+                for j1 in range(cc + 1 if lane else 1):
+                    want = (v - cc * a - j1 * delta) % n
+                    if prev[c - cc] >> want & 1:
+                        break
+                else:
+                    continue
+                break
+            else:  # pragma: no cover - contradicts the forward pass
+                raise AssertionError("sign-class DP backtrack failed in the y-phase")
+            picks.append((cc - j1, j1))
+            c, v = c - cc, want
+        d = eps if lane else 0
+        for i in range(nx, 0, -1):
+            _, a, cnt = self.entries[i - 1]
+            prev = self.xtables[i - 1]
+            delta = a * (s - 1) % n
+            for cc in range(min(cnt, c) + 1):
+                row = prev.get(c - cc)
+                if row is None:
+                    continue
+                for j1 in range(cc + 1):
+                    mask = row.get(d - cc + 2 * j1, 0)
+                    want = (v - cc * a - j1 * delta) % n
+                    if mask >> want & 1:
+                        break
+                else:
+                    continue
+                break
+            else:  # pragma: no cover - contradicts the forward pass
+                raise AssertionError("sign-class DP backtrack failed in the x-phase")
+            picks.append((cc - j1, j1))
+            c, v, d = c - cc, want, d - cc + 2 * j1
+        assert c == 0 and v == 0 and d == 0
+        picks.reverse()
+        return picks
 
 
-def _estimate_states(seq: Sequence, cap: int) -> int:
-    est = seq.group.order
-    for _, m in seq.counts:
-        est *= m + 1
-        if est > cap:
-            return cap + 1
-    return est
+def _sequence_dp(
+    seq: Sequence, lo: int, hi: int, budget: _Budget
+) -> tuple[list[Element], _SignClassDP]:
+    """The kernel over a sequence, and its support in the kernel's entry order."""
+    g = seq.group
+    counts = seq.counts  # sorted, so the x-entries (eps = 1) come last
+    if counts and counts[-1][0].eps:
+        split = next(i for i, (el, _) in enumerate(counts) if el.eps)
+        counts = counts[split:] + counts[:split]
+    entries = [(el.eps == 1, el.a, m) for el, m in counts]
+    return [el for el, _ in counts], _SignClassDP(entries, g.n, g.s, lo, hi, budget)
+
+
+def _members(g: GroupSpec, dp: _SignClassDP, k: int) -> frozenset[Element]:
+    els = g.elements()
+    even, odd = dp.reachable(k)
+    return frozenset(
+        [els[a] for a in range(g.n) if even >> a & 1]
+        + [els[g.n + a] for a in range(g.n) if odd >> a & 1]
+    )
+
+
+def _arrange(support: list[Element], picks: list[tuple[int, int]]) -> tuple[Element, ...]:
+    """The ordering ... X0[1] X1[0] Y1... X0[0] Y0... of a class assignment."""
+    x0: list[Element] = []
+    x1: list[Element] = []
+    y0: list[Element] = []
+    y1: list[Element] = []
+    for el, (j0, j1) in zip(support, picks):
+        if el.eps:
+            x0 += [el] * j0
+            x1 += [el] * j1
+        else:
+            y0 += [el] * j0
+            y1 += [el] * j1
+    if not x0:
+        return tuple(y0)
+    from_right = [x0[0]]
+    for i, el in enumerate(x1):
+        from_right.append(el)
+        if i + 1 < len(x0):
+            from_right.append(x0[i + 1])
+    return tuple(from_right[:0:-1] + y1 + [x0[0]] + y0)
 
 
 # -- public operations -----------------------------------------------------------
@@ -241,6 +347,7 @@ def _estimate_states(seq: Sequence, cap: int) -> int:
 def pi_set(seq: Sequence, budget: int | None = None) -> frozenset[Element]:
     """All products of the full sequence over all orderings."""
     g = seq.group
+    b = _Budget(budget)
     if seq.length == 0:
         return frozenset([g.identity])
     if g.is_abelian or _is_y_supported(seq):
@@ -250,10 +357,8 @@ def pi_set(seq: Sequence, budget: int | None = None) -> frozenset[Element]:
             eps ^= (el.eps * m) & 1
             a = (a + el.a * m) % g.n
         return frozenset([Element(eps, a)])
-    b = _Budget(budget)
-    ex = _Explorer(seq, b)
-    ex.run(seq.length)
-    return frozenset(g.element_at(p) for p in ex.products_at(seq.length))
+    _, dp = _sequence_dp(seq, seq.length, seq.length, b)
+    return _members(g, dp, seq.length)
 
 
 def products_with_arranger(
@@ -275,15 +380,14 @@ def products_with_arranger(
 
         return members, arrange_y
 
-    ex = _Explorer(seq, b)
-    ex.run(seq.length)
-    members = frozenset(g.element_at(p) for p in ex.products_at(seq.length))
+    length = seq.length
+    support, dp = _sequence_dp(seq, length, length, b)
+    members = _members(g, dp, length)
 
     def arrange(target: Element) -> tuple[Element, ...]:
-        st = ex.state_at(seq.length, g.element_index(target))
-        if st is None:
+        if target not in members:
             raise KeyError(f"{format_element(target)} not in pi(S)")
-        return ex.arrange(st)
+        return _arrange(support, dp.pick(length, target.eps, target.a))
 
     return members, arrange
 
@@ -296,14 +400,9 @@ def subproducts(seq: Sequence, n: int, budget: int | None = None) -> SubproductS
     b = _Budget(budget)
     if n == 0:
         members = frozenset([g.identity])
-    elif _is_y_supported(seq):
-        dp = _additive_dp(seq, n, b)
-        mask = dp.reachable(n)
-        members = frozenset(Element(0, a) for a in range(g.n) if mask >> a & 1)
     else:
-        ex = _Explorer(seq, b)
-        ex.run(n)
-        members = frozenset(g.element_at(p) for p in ex.products_at(n))
+        _, dp = _sequence_dp(seq, n, n, b)
+        members = _members(g, dp, n)
     return SubproductSet(n=n, members=members, stabilizer=stabilizer(g, members))
 
 
@@ -315,68 +414,52 @@ def has_product_one(seq: Sequence, k: int, budget: int | None = None) -> Product
 def find_arrangement(
     seq: Sequence, k: int, target: Element, budget: int | None = None
 ) -> ProductWitness | None:
-    """An ordered length-k subsequence multiplying to `target`, or None."""
+    """An ordered length-k subsequence multiplying to `target`, or None.
+
+    None also for k > |S|, where no length-k subsequence exists.
+    """
     g = seq.group
     g.check(target)
-    if not 0 <= k <= seq.length:
-        raise ValueError(f"arrangement length {k} out of range [0, {seq.length}]")
+    if k < 0:
+        raise ValueError(f"arrangement length {k} is negative")
+    b = _Budget(budget)
+    if k > seq.length:
+        return None
     if k == 0:
         return ProductWitness((), g.identity) if target == g.identity else None
-    x_len = sum(m for el, m in seq.counts if el.eps == 1)
-    if x_len == 1 and target.eps == 0:
-        # products with a y-part value use an even number of x-terms, so the
-        # lone x-term can never participate
-        ypart = seq.y_part()
-        return find_arrangement(ypart, k, target, budget) if k <= ypart.length else None
-    b = _Budget(budget)
-    if _is_y_supported(seq):
-        if target.eps != 0:
-            return None
-        dp = _additive_dp(seq, k, b)
-        if not dp.hits(k, target.a):
-            return None
-        w = _additive_witness(seq, dp, k, target.a)
-    else:
-        ex = _Explorer(seq, b)
-        tgt = g.element_index(target)
-        ex.run(k, stop=(k, tgt))
-        st = ex.state_at(k, tgt)
-        if st is None:
-            return None
-        w = ProductWitness(ex.arrange(st), target)
+    support, dp = _sequence_dp(seq, k, k, b)
+    picks = dp.pick(k, target.eps, target.a)
+    if picks is None:
+        return None
+    w = ProductWitness(_arrange(support, picks), target)
     if target == g.identity:
-        _assert_cyclic_shifts(g, w.elements)
+        _assert_cyclic_shifts(g, w.elements)  # shift 0 is the product itself
+    else:
+        prod = g.identity
+        for el in w.elements:
+            prod = g.mul(prod, el)
+        assert prod == target, "sign-class arrangement does not multiply to its target"
     return w
 
 
 def product_one_lengths(seq: Sequence, budget: int | None = None) -> list[int]:
     """All k >= 1 with 1_G in Pi_k(S)."""
-    g = seq.group
     b = _Budget(budget)
-    out = []
-    if _is_y_supported(seq):
-        dp = _additive_dp(seq, seq.length, b)
-        for k in range(1, seq.length + 1):
-            if dp.hits(k, 0):
-                out.append(k)
-    else:
-        ex = _Explorer(seq, b)
-        ex.run(seq.length)
-        ident = g.element_index(g.identity)
-        for k in range(1, seq.length + 1):
-            if ident in ex.products_at(k):
-                out.append(k)
-    return out
+    if seq.length == 0:
+        return []
+    _, dp = _sequence_dp(seq, 1, seq.length, b)
+    return [k for k in range(1, seq.length + 1) if dp.reachable(k)[0] & 1]
 
 
 def _assert_cyclic_shifts(g: GroupSpec, elements: tuple[Element, ...]) -> None:
     # A product-one ordering stays product-one under every cyclic rotation.
     k = len(elements)
+    one = g.identity
     for i in range(k):
-        prod = g.identity
+        prod = one
         for j in range(k):
             prod = g.mul(prod, elements[(i + j) % k])
-        assert prod == g.identity, "cyclic shift of a product-one witness failed"
+        assert prod == one, "cyclic shift of a product-one witness failed"
 
 
 # -- independent verifier --------------------------------------------------------

@@ -345,13 +345,28 @@ def _oracle_trial(seed: int) -> bool:
     seq = Sequence.from_terms(g, terms)
     n = rng.randrange(0, length + 1)
     got = sorted(subproducts(seq, n).members)
-    expected = set()
-    for arrangement in itertools.permutations(terms, n):
-        prod = g.identity
-        for el in arrangement:
-            prod = g.mul(prod, el)
-        expected.add(prod)
-    return got == sorted(expected)
+    return got == sorted(_arrangement_products(g, terms, n))
+
+
+def _arrangement_products(g: GroupSpec, terms: list[Element], n: int) -> set[Element]:
+    """Products of every ordered length-n arrangement of terms, by a depth-first
+    walk over distinct multiset arrangements that extends prefix products."""
+    distinct = sorted(set(terms))
+    left = [terms.count(el) for el in distinct]
+    out: set[Element] = set()
+
+    def walk(depth: int, prod: Element) -> None:
+        if depth == n:
+            out.add(prod)
+            return
+        for i, el in enumerate(distinct):
+            if left[i]:
+                left[i] -= 1
+                walk(depth + 1, g.mul(prod, el))
+                left[i] += 1
+
+    walk(0, g.identity)
+    return out
 
 
 def crit_oracle(seed: int = DEFAULT_SEED, trials: int = 1000, jobs: int = 1) -> CriterionResult:

@@ -13,7 +13,7 @@ verified strategy ladder:
    kernel, (b) reopened-block conjugation patterns sigma..h..sigma..h^{-1},
    (c) re-splits of three x-product blocks, and (d) re-anchoring an unused
    x-term onto a fresh block via the full subproduct DP;
-3. a budget-guarded exact search on the whole sequence.
+3. the exact sign-class DP on the whole sequence.
 
 Every rung returns only witnesses that pass the independent verifier, and a
 trace records which rung produced each one.
@@ -36,12 +36,9 @@ from .groups import (
 )
 from .sequences import Sequence
 from .products import (
-    BudgetExceeded,
     ProductWitness,
-    _AdditiveDP,
     _Budget,
-    _estimate_states,
-    default_budget,
+    _SignClassDP,
     find_arrangement,
     pi_set,
     products_with_arranger,
@@ -126,12 +123,14 @@ def _pick_subset(
         c = class_of(el)
         classes[c] = classes.get(c, 0) + cnt
     pairs = sorted(classes.items())
-    dp = _AdditiveDP(pairs, m, k, budget)
-    if not dp.hits(k, target % m):
+    dp = _SignClassDP([(False, cls, cnt) for cls, cnt in pairs], m, 1, k, k, budget)
+    picks = dp.pick(k, 0, target % m)
+    if picks is None:
         return None
     picked: dict[Element, int] = {}
-    for idx, copies in dp.pick(k, target % m):
-        cls = pairs[idx][0]
+    for (cls, _), (copies, _) in zip(pairs, picks):
+        if not copies:
+            continue
         pool = [(el, cnt) for el, cnt in seq.counts if class_of(el) == cls]
         if prefer_x:
             pool.sort(key=lambda im: (im[0].eps != 1, im[0]))
@@ -409,11 +408,7 @@ def find_big_product_one(
     if w is not None:
         return done(w, "pipeline")
 
-    limit = default_budget() if budget is None else budget
-    est = _estimate_states(seq, limit)
-    tr(step="direct", estimate=est, limit=limit)
-    if est > limit:
-        raise BudgetExceeded(limit)
+    tr(step="direct")
     w = find_arrangement(seq, k, g.identity, budget)
     if w is not None:
         return done(w, "direct")

@@ -163,3 +163,29 @@ def test_group_crosscheck(capsys, extremal_file):
                        "--group", "cyclic n=15")
     assert code == EXIT_USAGE
     assert "does not match" in err
+
+
+def test_bad_budget_is_usage_error(capsys, tmp_path, monkeypatch):
+    p = tmp_path / "small.seq"
+    p.write_text("group metacyclic n=15 s=11\nseq y^1 * 2, x*y^3 * 2\n")
+    code, _, err = run(capsys, "pi", "--seq", str(p), "--budget", "-5")
+    assert code == EXIT_USAGE and "non-negative" in err
+    monkeypatch.setenv("ZEROSUM_BUDGET", "abc")
+    code, _, err = run(capsys, "pi", "--seq", str(p))
+    assert code == EXIT_USAGE and "ZEROSUM_BUDGET" in err
+
+
+def test_budget_exit_reports_cells_used(capsys, tmp_path):
+    p = tmp_path / "big.seq"
+    terms = ", ".join(f"y^{a} * 1, x*y^{a} * 1" for a in range(15))
+    p.write_text(f"group metacyclic n=15 s=11\nseq {terms}\n")
+    code, _, err = run(capsys, "pi", "--seq", str(p), "--budget", "10")
+    assert code == EXIT_BUDGET
+    assert "DP cells" in err and "limit 10" in err
+
+
+def test_check_k_beyond_length_is_free(capsys, tmp_path):
+    p = tmp_path / "eight.seq"
+    p.write_text("group metacyclic n=15 s=11\nseq y^1 * 5, x*y^2 * 3\n")
+    code, out, _ = run(capsys, "check", "--seq", str(p), "--k", "99", "--records")
+    assert code == EXIT_OK and "free=true" in out

@@ -22,6 +22,16 @@ from zerosum.products import (
 
 D6 = mk_metacyclic(3, 2)
 G30 = mk_metacyclic(15, 11)
+KERNEL_GROUPS = [
+    mk_metacyclic(8, 3),
+    mk_metacyclic(8, 5),
+    mk_metacyclic(12, 7),
+    mk_metacyclic(5, 4),  # D10
+    G30,
+    mk_metacyclic(6, 1),  # C_6 x C_2
+    mk_cyclic(4),
+    mk_cyclic(7),
+]
 
 
 def seq_of(g, *terms):
@@ -247,3 +257,83 @@ def test_witness_line_roundtrip():
         parse_witness_line("witness k=2 target=1 : x", D6)
     with pytest.raises(ValueError):
         parse_witness_line("no colon here", D6)
+
+
+def test_k_beyond_length_has_no_arrangement():
+    s = seq_of(D6, Element(1, 0), Element(0, 1))
+    assert has_product_one(s, 3) is None
+    assert find_arrangement(s, 99, Element(0, 1)) is None
+    with pytest.raises(ValueError):
+        find_arrangement(s, -1, D6.identity)
+
+
+def test_budget_contract(monkeypatch):
+    s = Sequence.from_terms(G30, [Element(e, a) for e in (0, 1) for a in range(15)])
+    with pytest.raises(ValueError):
+        subproducts(s, 3, budget=-5)
+    with pytest.raises(BudgetExceeded) as info:
+        pi_set(s, budget=10)
+    assert info.value.limit == 10 and info.value.used > 10
+    assert "DP cells" in str(info.value)
+    monkeypatch.setenv("ZEROSUM_BUDGET", "abc")
+    with pytest.raises(ValueError):
+        subproducts(s, 3)
+    monkeypatch.setenv("ZEROSUM_BUDGET", "-1")
+    with pytest.raises(ValueError):
+        has_product_one(s, 3)
+
+
+def _law(g, u, v):
+    # x^e1 y^a1 * x^e2 y^a2 = x^(e1+e2) y^(a1*s^e2 + a2), written out apart from GroupSpec.mul
+    return Element(u.eps ^ v.eps, (u.a * (g.s if v.eps else 1) + v.a) % g.n)
+
+
+def _oracle_by_length(g, terms):
+    """Products of every ordered k-arrangement, for each k, by position permutations."""
+    out = {}
+    for k in range(len(terms) + 1):
+        prods = set()
+        for arr in itertools.permutations(terms, k):
+            prod = Element(0, 0)
+            for el in arr:
+                prod = _law(g, prod, el)
+            prods.add(prod)
+        out[k] = prods
+    return out
+
+
+@st.composite
+def _group_and_terms(draw):
+    g = draw(st.sampled_from(KERNEL_GROUPS))
+    els = g.elements()
+    pool = draw(st.lists(st.sampled_from(els), min_size=1, max_size=2))
+    # terms from a small pool repeat, so multiplicities above one get exercised
+    terms = draw(st.lists(st.sampled_from(els), max_size=3)) + draw(
+        st.lists(st.sampled_from(pool), max_size=3)
+    )
+    return g, terms
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_group_and_terms())
+def test_sign_class_kernel_matches_permutation_oracle(case):
+    g, terms = case
+    s = Sequence.from_terms(g, terms)
+    expect = _oracle_by_length(g, terms)
+    for k in range(len(terms) + 1):
+        assert subproducts(s, k).members == expect[k]
+        for target in g.elements():
+            w = find_arrangement(s, k, target)
+            if target in expect[k]:
+                assert w is not None and w.k == k
+                assert verify_witness(s, w, target) == (True, "ok")
+            else:
+                assert w is None
+    lengths = [k for k in range(1, len(terms) + 1) if g.identity in expect[k]]
+    assert product_one_lengths(s) == lengths
+    if terms:
+        members, arrange = products_with_arranger(s)
+        assert members == expect[len(terms)]
+        for target in members:
+            w = ProductWitness(arrange(target), target)
+            assert w.k == len(terms) and verify_witness(s, w, target) == (True, "ok")
