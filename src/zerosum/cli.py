@@ -11,6 +11,7 @@ limit on DP cells per search; a negative or non-integer limit is a usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from pathlib import Path
@@ -46,7 +47,7 @@ from .constants import (
     davenport_constant,
     gao_constant,
 )
-from .witnesses import WitnessSearchExhausted, family_context, find_big_product_one
+from .witnesses import WitnessSearchExhausted, family_context, find_big_product_one, trace_rung
 from . import repro
 
 EXIT_OK = 0
@@ -165,7 +166,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("witness", help="find a verified k-product-one witness")
     _add_common(p, seq=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--seed", type=int, default=repro.DEFAULT_SEED)
 
     p = sub.add_parser("replay", help="run the witness ladder with a step trace")
     _add_common(p, seq=True)
@@ -346,26 +346,21 @@ def _cmd_template(args, out: _Out) -> int:
 
 def _cmd_dgm(args, out: _Out) -> int:
     if args.fuzz:
-        import random
-
-        from .groups import Element, mk_cyclic
-
+        trial = functools.partial(
+            repro._dgm_trial, max_order=args.max_order, max_len=args.max_len, budget=_budget(args)
+        )
+        results = repro._parallel_map(trial, repro._dgm_seeds(args.seed, args.trials), args.jobs)
         violations = 0
-        for i in range(args.trials):
-            rng = random.Random(args.seed * 5_000_011 + i)
-            m = rng.randrange(2, args.max_order + 1)
-            g = mk_cyclic(m)
-            length = rng.randrange(1, args.max_len + 1)
-            seq = Sequence.from_terms(g, (Element(0, rng.randrange(m)) for _ in range(length)))
-            n = rng.randrange(1, length + 1)
-            rep = dgm_check(seq, n, _budget(args))
-            if not rep.holds:
-                violations += 1
-                out.emit(
-                    f"VIOLATION trial {i}: lhs={rep.lhs} rhs={rep.rhs} n={n}",
-                    op="dgm", trial=i, lhs=rep.lhs, rhs=rep.rhs, n=n, holds=False,
-                )
-                out.raw(format_sequence(seq))
+        for i, found in enumerate(results):
+            if found is None:
+                continue
+            n, lhs, rhs, seq = found
+            violations += 1
+            out.emit(
+                f"VIOLATION trial {i}: lhs={lhs} rhs={rhs} n={n}",
+                op="dgm", trial=i, lhs=lhs, rhs=rhs, n=n, holds=False,
+            )
+            out.raw(format_sequence(seq))
         out.emit(
             f"fuzz: {args.trials} trials, {violations} violation(s)",
             op="dgm-fuzz", trials=args.trials, violations=violations, seed=args.seed,
@@ -397,7 +392,7 @@ def _cmd_witness(args, out: _Out) -> int:
         trace: list[str] = []
         try:
             w = find_big_product_one(seq, budget=_budget(args), trace=trace)
-            via = trace[-1].split("rung=")[1].split()[0]
+            via = trace_rung(trace)
         except WitnessSearchExhausted:
             w = None
     else:

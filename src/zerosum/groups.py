@@ -248,10 +248,13 @@ class Subgroup:
             g.check(u)
             if g.inv(u) not in self.members:
                 raise GroupError(f"subgroup not closed under inverse at {format_element(u)}")
-        for u in self.members:
-            for v in self.members:
-                if g.mul(u, v) not in self.members:
-                    raise GroupError("subgroup not closed under multiplication")
+        table = mul_table(g)
+        idx = [g.element_index(u) for u in self.members]
+        inside = set(idx)
+        for i in idx:
+            row = table[i]
+            if any(row[j] not in inside for j in idx):
+                raise GroupError("subgroup not closed under multiplication")
 
     @property
     def order(self) -> int:

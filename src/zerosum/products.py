@@ -62,6 +62,9 @@ class BudgetExceeded(RuntimeError):
         self.used = used
         self.limit = limit
 
+    def __reduce__(self):  # keeps the exception intact across --jobs worker processes
+        return type(self), (self.used, self.limit)
+
 
 class _Budget:
     __slots__ = ("limit", "used")

@@ -29,7 +29,12 @@ from .constants import (
     gao_constant,
     template_instances,
 )
-from .witnesses import WitnessSearchExhausted, find_big_product_one, singleton_pi_structure
+from .witnesses import (
+    WitnessSearchExhausted,
+    find_big_product_one,
+    singleton_pi_structure,
+    trace_rung,
+)
 
 D6 = mk_metacyclic(3, 2)
 G30 = mk_metacyclic(15, 11)
@@ -198,8 +203,7 @@ def _upper_trial(args) -> tuple[bool, str]:
     ok, reason = verify_witness(s, w)
     if not ok or w.k != 30:
         return False, reason
-    rung = trace[-1].split("rung=")[1].split()[0]
-    return True, rung
+    return True, trace_rung(trace)
 
 
 def crit_upper_sampled(
@@ -244,7 +248,7 @@ def _inverse_trial(seed: int) -> tuple[bool, str]:
     ok, reason = verify_witness(s, w)
     if not ok or w.k != 30:
         return False, reason
-    return True, trace[-1].split("rung=")[1].split()[0]
+    return True, trace_rung(trace)
 
 
 def crit_inverse_sampled(seed: int = DEFAULT_SEED, trials: int = 1000, jobs: int = 1) -> CriterionResult:
@@ -310,19 +314,28 @@ def crit_structure(seed: int = DEFAULT_SEED, trials: int = 1000) -> CriterionRes
 # -- engine cross-checks ------------------------------------------------------------------
 
 
-def _dgm_trial(seed: int) -> bool:
+def _dgm_trial(
+    seed: int, max_order: int = 30, max_len: int = 20, budget: int | None = None
+) -> tuple[int, int, int, Sequence] | None:
+    """One seeded DGM instance over a random cyclic group of order <= max_order;
+    None when the bound holds, else the violation (n, lhs, rhs, sequence)."""
     rng = random.Random(seed)
-    m = rng.randrange(2, 31)
+    m = rng.randrange(2, max_order + 1)
     g = mk_cyclic(m)
-    length = rng.randrange(1, 21)
+    length = rng.randrange(1, max_len + 1)
     seq = Sequence.from_terms(g, (Element(0, rng.randrange(m)) for _ in range(length)))
     n = rng.randrange(1, length + 1)
-    return dgm_check(seq, n).holds
+    rep = dgm_check(seq, n, budget)
+    return None if rep.holds else (n, rep.lhs, rep.rhs, seq)
+
+
+def _dgm_seeds(seed: int, trials: int) -> list[int]:
+    return [seed * 5_000_011 + i for i in range(trials)]
 
 
 def crit_dgm(seed: int = DEFAULT_SEED, trials: int = 10_000, jobs: int = 1) -> CriterionResult:
-    results = _parallel_map(_dgm_trial, [seed * 5_000_011 + i for i in range(trials)], jobs)
-    violations = results.count(False)
+    results = _parallel_map(_dgm_trial, _dgm_seeds(seed, trials), jobs)
+    violations = sum(r is not None for r in results)
     rows = [f"dgm-fuzz trials={trials} violations={violations}"]
     return CriterionResult(
         "dgm-bound", violations == 0, "subproduct lower bound holds on all seeded abelian instances", rows

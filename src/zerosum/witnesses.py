@@ -2,18 +2,17 @@
 
 For the groups <x, y : x^2 = y^{3m} = 1, yx = x y^s> with gcd(6, m) = 1,
 s = -1 (mod 3) and s = +1 (mod m), every sequence of length 9m has a
-product-one subsequence of length 6m.  This module finds such witnesses by a
-verified strategy ladder:
+product-one subsequence of length 6m.  This module finds such witnesses on one
+verified path:
 
 1. exact subset-sum DP on the <y>-part (complete whenever at most one term
    lies outside <y>, and cheap to try always);
-2. the block pipeline: pull eight length-m blocks whose C_m-component sums
+2. the block pass: pull eight length-m blocks whose C_m-component sums
    vanish, locally improve how many blocks contain an x-term, then search
    (a) whole-block compositions of chosen block products over the order-6
-   kernel, (b) reopened-block conjugation patterns sigma..h..sigma..h^{-1},
-   (c) re-splits of three x-product blocks, and (d) re-anchoring an unused
-   x-term onto a fresh block via the full subproduct DP;
-3. the exact sign-class DP on the whole sequence.
+   kernel, and (b) when none closes, re-anchor an x-term that no block holds
+   onto a fresh block, re-extract the rest and search again;
+3. the exact sign-class DP on the whole sequence, which is complete.
 
 Every rung returns only witnesses that pass the independent verifier, and a
 trace records which rung produced each one.
@@ -33,6 +32,7 @@ from .groups import (
     crt_scalars,
     factorize,
     format_element,
+    mul_table,
 )
 from .sequences import Sequence
 from .products import (
@@ -98,20 +98,18 @@ def _pick_subset(
     k: int,
     target: int,
     budget: _Budget,
-    prefer_x: bool = False,
 ) -> Sequence | None:
     """A k-term subsequence whose class values sum to target mod m, or None.
 
     Deterministic: the DP resolves class counts, then concrete terms are
-    assigned in canonical element order (x-terms first when prefer_x).
+    assigned in canonical element order.
     """
     if m == 1:
         if k > seq.length:
             return None
-        order = sorted(seq.counts, key=lambda im: (im[0].eps != 1, im[0]) if prefer_x else im[0])
         picked: dict[Element, int] = {}
         left = k
-        for el, cnt in order:
+        for el, cnt in seq.counts:
             take = min(cnt, left)
             if take:
                 picked[el] = take
@@ -132,8 +130,6 @@ def _pick_subset(
         if not copies:
             continue
         pool = [(el, cnt) for el, cnt in seq.counts if class_of(el) == cls]
-        if prefer_x:
-            pool.sort(key=lambda im: (im[0].eps != 1, im[0]))
         left = copies
         for el, cnt in pool:
             take = min(cnt, left)
@@ -206,12 +202,7 @@ def make_decomposition(
 
 
 def extract_product_h_blocks(
-    seq: Sequence,
-    kernel: Subgroup,
-    count: int,
-    *,
-    budget: int | None = None,
-    prefer_x: bool = False,
+    seq: Sequence, kernel: Subgroup, count: int, *, budget: int | None = None
 ) -> Decomposition:
     """Pull `count` disjoint length-n2 blocks whose C_{n2} component sums vanish."""
     fam = family_context(seq.group)
@@ -225,7 +216,7 @@ def extract_product_h_blocks(
     blocks = []
     remaining = seq
     for _ in range(count):
-        block = _pick_subset(remaining, fam.component, n2, n2, 0, b, prefer_x=prefer_x)
+        block = _pick_subset(remaining, fam.component, n2, n2, 0, b)
         assert block is not None, "block extraction guarantee violated"
         blocks.append(block)
         remaining = remaining.remove(block)
@@ -404,7 +395,7 @@ def find_big_product_one(
             return done(w, "y-part")
         tr(step="y-part", hit="none")
 
-    w = _pipeline(seq, fam, k, budget, tr)
+    w = _pipeline(seq, fam, budget, tr)
     if w is not None:
         return done(w, "pipeline")
 
@@ -417,45 +408,45 @@ def find_big_product_one(
     )
 
 
-def _pipeline(seq, fam, k, budget, tr):
-    for prefer_x in (False, True):
-        try:
-            d = extract_product_h_blocks(seq, fam.kernel, 8, budget=budget, prefer_x=prefer_x)
-        except ValueError:
-            return None
-        d = improve_x_coverage(d, budget)
-        tr(step="extract", prefer_x=prefer_x, coverage=d.x_coverage())
-        tried_anchors: set = set()
-        for _ in range(_MAX_REANCHOR_ROUNDS):
-            w = _stage_whole_blocks(d, fam, budget, tr)
-            if w is None:
-                w = _stage_conjugation(d, fam, budget, tr)
-            if w is None:
-                w = _stage_resplit(d, fam, budget, tr)
-            if w is not None:
-                return w
-            d2 = _stage_reanchor(seq, d, fam, tried_anchors, budget, tr)
-            if d2 is None:
-                break
-            d = improve_x_coverage(d2, budget)
+def trace_rung(trace: list[str]) -> str:
+    """The rung named by the final `step=found` line of a find_big_product_one trace."""
+    return trace[-1].split("rung=")[1].split()[0]
+
+
+def _pipeline(seq, fam, budget, tr):
+    try:
+        d = extract_product_h_blocks(seq, fam.kernel, 8, budget=budget)
+    except ValueError:
+        return None
+    d = improve_x_coverage(d, budget)
+    tr(step="extract", coverage=d.x_coverage())
+    tried_anchors: set = set()
+    for _ in range(_MAX_REANCHOR_ROUNDS):
+        w = _stage_whole_blocks(d, fam, budget, tr)
+        if w is not None:
+            return w
+        d2 = _stage_reanchor(seq, d, fam, tried_anchors, budget, tr)
+        if d2 is None:
+            break
+        d = improve_x_coverage(d2, budget)
     return None
 
 
-def _block_products(blocks, budget):
-    sets, arrangers = [], []
-    for b in blocks:
-        members, arrange = products_with_arranger(b, budget)
-        sets.append(sorted(members))
-        arrangers.append(arrange)
-    return sets, arrangers
-
-
 def _stage_whole_blocks(d, fam, budget, tr):
-    """Order six whole blocks, products chosen freely from each pi(T)."""
+    """Order six whole blocks, products chosen freely from each pi(T).
+
+    A breadth-first search over (used-block mask, product index) on the Cayley
+    table; each block's products are visited in index order, which is the
+    canonical element order since index = eps*n + a.
+    """
     g = fam.group
-    blocks = d.blocks
-    sets, arrangers = _block_products(blocks, budget)
-    ident = g.identity
+    table = mul_table(g)
+    sets, arrangers = [], []
+    for blk in d.blocks:
+        members, arrange = products_with_arranger(blk, budget)
+        sets.append(sorted(g.element_index(el) for el in members))
+        arrangers.append(arrange)
+    ident = g.element_index(g.identity)
     start = (0, ident)
     parents = {start: None}
     frontier = [start]
@@ -463,166 +454,41 @@ def _stage_whole_blocks(d, fam, budget, tr):
         nxt = []
         for state in frontier:
             mask, prod = state
-            for i in range(len(blocks)):
+            row = table[prod]
+            for i, sigmas in enumerate(sets):
                 if mask >> i & 1:
                     continue
-                for sigma in sets[i]:
-                    nst = (mask | 1 << i, g.mul(prod, sigma))
+                bit = mask | 1 << i
+                for sigma in sigmas:
+                    nst = (bit, row[sigma])
                     if nst not in parents:
                         parents[nst] = (state, i, sigma)
                         nxt.append(nst)
                         if level == 5 and nst[1] == ident:
-                            return _assemble_whole(parents, nst, arrangers, tr)
+                            return _assemble_whole(g, parents, nst, arrangers, tr)
         frontier = nxt
     tr(step="whole-blocks", hit="none")
     return None
 
 
-def _assemble_whole(parents, state, arrangers, tr):
+def _assemble_whole(g, parents, state, arrangers, tr):
     path = []
     cur = state
     while parents[cur] is not None:
         prev, i, sigma = parents[cur]
-        path.append((i, sigma))
+        path.append((i, g.element_at(sigma)))
         cur = prev
     path.reverse()
     elements = []
     for i, sigma in path:
         elements.extend(arrangers[i](sigma))
     tr(step="whole-blocks", blocks=",".join(str(i) for i, _ in path))
-    return ProductWitness(tuple(elements), Element(0, 0))
-
-
-def _stage_conjugation(d, fam, budget, tr):
-    """Reopen one block around an x-term h: with equal-class prefixes P and Q,
-    y^(P*n2) h y^(Q*n2) h^-1 collapses to the identity since s = -1 (mod 3)."""
-    g = fam.group
-    n2 = fam.n2
-    blocks = d.blocks
-    sets, arrangers = _block_products(blocks, budget)
-    ident = g.identity
-    for bi, block in enumerate(blocks):
-        if not block.x_part().length or ident not in sets[bi]:
-            continue
-        closed = arrangers[bi](ident)
-        for h in sorted(set(el for el in block.support if el.eps == 1)):
-            rest = _rotate_out(g, closed, h)
-            others = [j for j in range(len(blocks)) if j != bi]
-            token_opts = {
-                j: sorted({(s.a // n2) % 3 for s in sets[j] if s.eps == 0}) for j in others
-            }
-            eligible = [j for j in others if token_opts[j]]
-            for combo in itertools.combinations(eligible, 5):
-                assign = _signed_zero_assignment([token_opts[j] for j in combo])
-                if assign is None:
-                    continue
-                pre, mid = [], []
-                for j, (t, sign) in zip(combo, assign):
-                    sigma = Element(0, (t * n2) % g.n)
-                    (pre if sign > 0 else mid).append((j, sigma))
-                elements = []
-                for j, sigma in pre:
-                    elements.extend(arrangers[j](sigma))
-                elements.append(h)
-                for j, sigma in mid:
-                    elements.extend(arrangers[j](sigma))
-                elements.extend(rest)
-                w = ProductWitness(tuple(elements), ident)
-                prod = ident
-                for el in w.elements:
-                    prod = g.mul(prod, el)
-                assert prod == ident, "conjugation pattern must close"
-                tr(step="conjugation", reopened=bi, h=format_element(h))
-                return w
-    tr(step="conjugation", hit="none")
-    return None
-
-
-def _rotate_out(g, closed, h):
-    """Rotate a product-one arrangement so h leads, then drop it; the rest
-    multiplies to h^-1."""
-    idx = closed.index(h)
-    rest = closed[idx + 1 :] + closed[:idx]
-    prod = g.identity
-    for el in rest:
-        prod = g.mul(prod, el)
-    assert g.mul(h, prod) == g.identity
-    return rest
-
-
-def _signed_zero_assignment(options: list[list[int]]):
-    """Pick t_i from each option list and signs e_i in {+1,-1} with
-    sum e_i t_i = 0 (mod 3); returns [(t, sign)] or None."""
-    states = {0: []}
-    for opts in options:
-        nxt = {}
-        for r, path in states.items():
-            for t in opts:
-                for sign in (1, -1):
-                    nr = (r + sign * t) % 3
-                    if nr not in nxt:
-                        nxt[nr] = path + [(t, sign)]
-        states = nxt
-    return states.get(0)
-
-
-def _stage_resplit(d, fam, budget, tr):
-    """When three blocks have all their products in the x-part, remove one
-    x-term from each, re-pull a clean block from the rest, and split the
-    leftovers into two more blocks; then retry the composition stages."""
-    if fam.n2 == 1:
-        return None
-    g = fam.group
-    n2 = fam.n2
-    blocks = d.blocks
-    psets = [pi_set(b, budget) for b in blocks]
-    xsig = [i for i, ps in enumerate(psets) if all(s.eps == 1 for s in ps)]
-    if len(xsig) < 3:
-        tr(step="resplit", hit="none")
-        return None
-    chosen = []
-    seen_coords = set()
-    for i in xsig:
-        coord = (min(psets[i]).a // n2) % 3
-        if coord not in seen_coords:
-            seen_coords.add(coord)
-            chosen.append(i)
-        if len(chosen) == 3:
-            break
-    if len(chosen) < 3:
-        tr(step="resplit", hit="none")
-        return None
-    b = _Budget(budget)
-    lead = [sorted(el for el in blocks[i].support if el.eps == 1)[0] for i in chosen]
-    pool = Sequence.empty(g)
-    for i in chosen:
-        pool = pool.concat(blocks[i])
-    for u in lead:
-        pool = pool.remove(Sequence.from_counts(g, {u: 1}))
-    t6 = _pick_subset(pool, fam.component, n2, n2, 0, b)
-    if t6 is None:
-        tr(step="resplit", hit="none")
-        return None
-    rest = pool.remove(t6)
-    for u in lead:
-        rest = rest.concat(Sequence.from_counts(g, {u: 1}))
-    t7 = _pick_subset(rest, fam.component, n2, n2, 0, b)
-    if t7 is None:
-        tr(step="resplit", hit="none")
-        return None
-    t8 = rest.remove(t7)
-    new_blocks = [blk for i, blk in enumerate(blocks) if i not in chosen] + [t6, t7, t8]
-    nd = make_decomposition(new_blocks, d.remainder, d.kernel, budget)
-    tr(step="resplit", replaced=",".join(map(str, chosen)))
-    w = _stage_whole_blocks(nd, fam, budget, tr)
-    if w is None:
-        w = _stage_conjugation(nd, fam, budget, tr)
-    return w
+    return ProductWitness(tuple(elements), g.identity)
 
 
 def _stage_reanchor(seq, d, fam, tried, budget, tr):
-    """Build a fresh block around an x-term that no block holds, using the
-    full subproduct DP to complete it, and re-extract everything else."""
+    """Build a fresh block around an x-term that no block holds, completing it
+    with n2 - 1 terms picked by the class DP, and re-extract everything else."""
     g = fam.group
     n2 = fam.n2
     candidates = sorted(set(el for el in d.remainder.support if el.eps == 1))

@@ -108,6 +108,18 @@ def test_dgm_single_and_fuzz(capsys, tmp_path):
     assert code == EXIT_OK and "violations=0" in out
 
 
+def test_dgm_fuzz_same_output_across_jobs(capsys):
+    code1, out1, _ = run(capsys, "dgm", "--fuzz", "--trials", "50", "--seed", "3", "--jobs", "1")
+    code2, out2, _ = run(capsys, "dgm", "--fuzz", "--trials", "50", "--seed", "3", "--jobs", "2")
+    assert code1 == code2 == EXIT_OK
+    assert out1 == out2 and "50 trials, 0 violation(s)" in out1
+
+
+def test_dgm_fuzz_budget_exit_across_jobs(capsys):
+    code, _, err = run(capsys, "dgm", "--fuzz", "--trials", "4", "--budget", "1", "--jobs", "2")
+    assert code == EXIT_BUDGET and "limit 1" in err
+
+
 def test_dgm_usage_error(capsys):
     code, _, err = run(capsys, "dgm")
     assert code == EXIT_USAGE

@@ -15,6 +15,7 @@ from zerosum.witnesses import (
     make_decomposition,
     replay_swap_argument,
     singleton_pi_structure,
+    trace_rung,
 )
 
 G30 = mk_metacyclic(15, 11)
@@ -212,6 +213,21 @@ def test_find_big_product_one_order42():
         assert verify_witness(s, w)[0]
 
 
+def test_find_big_product_one_order66_uses_block_pass():
+    # n2 = 11: the block pass answers uniform inputs where the whole-sequence
+    # kernel alone is several times slower
+    g66 = mk_metacyclic(33, 23)
+    rng = random.Random(11)
+    els = g66.elements()
+    for _ in range(30):
+        s = Sequence.from_terms(g66, (els[rng.randrange(66)] for _ in range(99)))
+        trace = []
+        w = find_big_product_one(s, trace=trace)
+        assert w.k == 66
+        assert verify_witness(s, w) == (True, "ok")
+        assert trace_rung(trace) == "pipeline"
+
+
 def test_find_big_product_one_rejections():
     s = Sequence.from_counts(G30, {y(1): 10})
     with pytest.raises(ValueError):
@@ -269,49 +285,6 @@ def test_singleton_pi_structure_clauses():
     if len(pi_set(wide)) > 1:
         with pytest.raises(ValueError):
             singleton_pi_structure(wide, f)
-
-
-def test_conjugation_stage_on_rigid_shape():
-    # five sigma=1 blocks (one carrying x-terms), two sigma=y^5 blocks, one
-    # x-sigma block: whole-block composition is stuck on an extremal shape,
-    # the reopened-block conjugation pattern is the only way through
-    from zerosum.witnesses import _stage_conjugation, _stage_whole_blocks
-
-    fam = family_context(G30)
-    E = Element
-    mk = lambda *terms: Sequence.from_terms(G30, terms)
-    blocks = [
-        mk(E(1, 0), E(1, 0), E(0, 0), E(0, 0), E(0, 0)),
-        mk(*[E(0, 0)] * 5), mk(*[E(0, 0)] * 5), mk(*[E(0, 0)] * 5), mk(*[E(0, 0)] * 5),
-        mk(*[E(0, 1)] * 5), mk(*[E(0, 1)] * 5),
-        mk(E(1, 5), E(0, 0), E(0, 0), E(0, 0), E(0, 0)),
-    ]
-    d = make_decomposition(blocks, Sequence.empty(G30), fam.kernel)
-    tr = lambda **kv: None
-    assert _stage_whole_blocks(d, fam, None, tr) is None
-    w = _stage_conjugation(d, fam, None, tr)
-    assert w is not None and w.k == 30
-    assert verify_witness(d.reassemble(), w) == (True, "ok")
-
-
-def test_resplit_stage_on_three_reflection_blocks():
-    from zerosum.witnesses import _stage_conjugation, _stage_resplit, _stage_whole_blocks
-
-    fam = family_context(G30)
-    E = Element
-    mk = lambda *terms: Sequence.from_terms(G30, terms)
-    blocks = [mk(*[E(0, 0)] * 5) for _ in range(5)] + [
-        mk(E(1, 0), E(0, 0), E(0, 0), E(0, 0), E(0, 0)),
-        mk(E(1, 5), E(0, 0), E(0, 0), E(0, 0), E(0, 0)),
-        mk(E(1, 10), E(0, 0), E(0, 0), E(0, 0), E(0, 0)),
-    ]
-    d = make_decomposition(blocks, Sequence.empty(G30), fam.kernel)
-    tr = lambda **kv: None
-    assert _stage_whole_blocks(d, fam, None, tr) is None
-    assert _stage_conjugation(d, fam, None, tr) is None
-    w = _stage_resplit(d, fam, None, tr)
-    assert w is not None and w.k == 30
-    assert verify_witness(d.reassemble(), w) == (True, "ok")
 
 
 def test_singleton_pi_no_clause():
