@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .groups import (
     GroupError,
+    factorize,
     format_element,
     format_group,
     parse_group,
@@ -98,6 +99,12 @@ def _budget(args) -> int:
     return resolve_budget(args.budget)
 
 
+def _jobs(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    return args.jobs
+
+
 def _add_common(p: argparse.ArgumentParser, *, seq=False, group=False, budget=True):
     p.add_argument("--records", action="store_true", help="line-delimited key=value output")
     if budget:
@@ -133,7 +140,7 @@ def build_parser() -> _Parser:
     _add_common(p, seq=True, budget=False)
     p.add_argument("--witness", required=True, help="file of witness lines")
 
-    p = sub.add_parser("gao", help="exact Gao constant by orbit-pruned enumeration")
+    p = sub.add_parser("gao", help="exact Gao constant by growing free sequences level by level")
     _add_common(p, group=True)
     p.add_argument("--cap", type=int, default=None, help="maximum length to scan")
 
@@ -150,9 +157,7 @@ def build_parser() -> _Parser:
     _add_common(p, seq=True, budget=False)
 
     p = sub.add_parser("dgm", help="subproduct lower-bound report, or seeded fuzzing")
-    p.add_argument("--records", action="store_true")
-    p.add_argument("--budget", type=int, default=None,
-                   help="limit on DP cells per search (default: ZEROSUM_BUDGET or 10^8)")
+    _add_common(p)
     p.add_argument("--seq", help="sequence file (single check)")
     p.add_argument("--group", default=None, help="optional group literal cross-check")
     p.add_argument("--n", type=int, help="subproduct length (single check)")
@@ -161,7 +166,7 @@ def build_parser() -> _Parser:
     p.add_argument("--max-order", type=int, default=30)
     p.add_argument("--max-len", type=int, default=20)
     p.add_argument("--seed", type=int, default=repro.DEFAULT_SEED)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes (at least 1)")
 
     p = sub.add_parser("witness", help="find a verified k-product-one witness")
     _add_common(p, seq=True)
@@ -175,7 +180,7 @@ def build_parser() -> _Parser:
     p.add_argument("suite", choices=repro.SUITE_NAMES)
     p.add_argument("--records", action="store_true")
     p.add_argument("--seed", type=int, default=repro.DEFAULT_SEED)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes (at least 1)")
 
     return top
 
@@ -229,8 +234,6 @@ def _cmd_group(args, out: _Out) -> int:
     fields = {"group": format_group(g), "order": g.order, "abelian": g.is_abelian}
     human = f"{format_group(g)}: order {g.order}, {'abelian' if g.is_abelian else 'non-abelian'}"
     if g.kind == "metacyclic":
-        from .groups import factorize
-
         f = factorize(g)
         fields.update(n1=f.n1, n2=f.n2)
         human += f", n = {f.n1} * {f.n2}"
@@ -346,10 +349,11 @@ def _cmd_template(args, out: _Out) -> int:
 
 def _cmd_dgm(args, out: _Out) -> int:
     if args.fuzz:
+        jobs = _jobs(args)
         trial = functools.partial(
             repro._dgm_trial, max_order=args.max_order, max_len=args.max_len, budget=_budget(args)
         )
-        results = repro._parallel_map(trial, repro._dgm_seeds(args.seed, args.trials), args.jobs)
+        results = repro._parallel_map(trial, repro._dgm_seeds(args.seed, args.trials), jobs)
         violations = 0
         for i, found in enumerate(results):
             if found is None:
@@ -427,8 +431,9 @@ def _cmd_replay(args, out: _Out) -> int:
 
 
 def _cmd_repro(args, out: _Out) -> int:
+    jobs = _jobs(args)
     t0 = time.time()
-    results = repro.run_suite(args.suite, seed=args.seed, jobs=args.jobs)
+    results = repro.run_suite(args.suite, seed=args.seed, jobs=jobs)
     failed = 0
     for r in results:
         out.emit(

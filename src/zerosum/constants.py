@@ -1,11 +1,12 @@
 """Brute-force group constants and extremal-sequence classification.
 
-The Gao constant E(G) is found by enumerating multisets of each length
-starting at |G|, pruned to minimal representatives under the automorphisms
-that fix <y> setwise, until a length carries no |G|-product-one-free
-sequence; the free sequences one step earlier are the extremal certificates.
-The small Davenport constant d(G) runs the same scan with freeness meaning
-"no product-one subsequence of any positive length".
+Free sequences are grown one length at a time, one representative per orbit
+under the automorphisms that fix <y> setwise: every free sequence of length
+L+1 extends a free one of length L by one term.  The Gao constant E(G) is the
+first length with no |G|-product-one-free sequence, whose free sequences one
+step earlier are the extremal certificates; the small Davenport constant d(G)
+grows the same levels with freeness meaning "no product-one subsequence of
+any positive length".
 
 Classification matches each extremal orbit against the known shape templates
 (two-block over a cyclic group, two-block-plus-reflection over a metacyclic
@@ -17,8 +18,8 @@ silently dropped.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -75,7 +76,7 @@ def automorphisms(g: GroupSpec) -> tuple[tuple[int, ...], ...]:
     y maps to y^u (u a unit) and x to x*y^c with c*(s+1) = 0 (mod n); both
     relations and bijectivity are then automatic.  For odd n this is all of
     Aut(G); for even n it is the subgroup fixing <y> setwise, which is all
-    orbit pruning needs (soundness, not maximal reduction).
+    orbit enumeration needs (soundness, not maximal reduction).
     """
     n = g.n
     units = [u for u in range(1, n + 1) if math.gcd(u, n) == 1]
@@ -102,10 +103,6 @@ def apply_automorphism(seq: Sequence, perm: tuple[int, ...]) -> Sequence:
     )
 
 
-def orbit_keys(seq: Sequence) -> frozenset[bytes]:
-    return frozenset(canonical_key(apply_automorphism(seq, p)) for p in automorphisms(seq.group))
-
-
 def orbit_sequences(seq: Sequence) -> list[Sequence]:
     out = {}
     for p in automorphisms(seq.group):
@@ -117,35 +114,51 @@ def orbit_sequences(seq: Sequence) -> list[Sequence]:
 # -- enumeration -----------------------------------------------------------------
 
 
-def _guard(g: GroupSpec, length: int, ceiling: int) -> None:
-    estimate = math.comb(length + g.order - 1, g.order - 1) // max(1, len(automorphisms(g)))
-    if estimate > ceiling:
-        raise InfeasibleSize(estimate, ceiling)
+def _counts_sequence(g: GroupSpec, counts: tuple[int, ...]) -> Sequence:
+    return Sequence.from_counts(g, {g.element_at(i): m for i, m in enumerate(counts) if m})
 
 
-def _iter_multisets(g: GroupSpec, length: int, prune: bool) -> Iterator[tuple[int, ...]]:
-    autos = automorphisms(g) if prune else ()
-    for combo in itertools.combinations_with_replacement(range(g.order), length):
-        if prune:
-            keep = True
-            for perm in autos:
-                if tuple(sorted(perm[i] for i in combo)) < combo:
-                    keep = False
-                    break
-            if not keep:
+def _free_levels(
+    g: GroupSpec, k: int | None, last: int, ceiling: int, budget: int | None
+) -> Iterator[list[tuple[int, ...]]]:
+    """The free orbits of lengths 0..last, one level per length, up to the first
+    empty level.  A multiset is its tuple of multiplicities by element index; an
+    orbit is its greatest tuple (its least sorted image), and a level lists its
+    orbits in descending order."""
+    order = g.order
+    images = [operator.itemgetter(*sorted(range(order), key=p.__getitem__)) for p in automorphisms(g)]
+
+    def canon(counts: tuple[int, ...]) -> tuple[int, ...]:
+        # itemgetter of one index returns the item, not a 1-tuple
+        return max(image(counts) for image in images) if order > 1 else counts
+
+    top = min(last, k) if k is not None else 0
+    if top > 0:  # levels below k hold every orbit, and each orbit grows |G| candidates
+        estimate = math.comb(top + order - 2, order - 1) // len(images) * order
+        if estimate > ceiling:
+            raise InfeasibleSize(estimate, ceiling)
+    level, candidates = [], {(0,) * order}
+    for length in range(last + 1):
+        prev, level = set(level), []
+        for c in candidates:
+            # a subsequence of a free sequence is free; through length k, prev is every orbit
+            if (k is None or length > k) and any(
+                canon(c[:i] + (m - 1,) + c[i + 1 :]) not in prev for i, m in enumerate(c) if m
+            ):
                 continue
-        yield combo
-
-
-def _combo_sequence(g: GroupSpec, combo: tuple[int, ...]) -> Sequence:
-    return Sequence.from_terms(g, (g.element_at(i) for i in combo))
-
-
-def _is_free(seq: Sequence, k: int | None, budget: int | None) -> bool:
-    # k=None: free of product-one subsequences of every positive length.
-    if k is None:
-        return not product_one_lengths(seq, budget)
-    return has_product_one(seq, k, budget) is None
+            if k is None or length >= k:
+                seq = _counts_sequence(g, c)
+                # k=None: free of product-one subsequences of every positive length
+                if product_one_lengths(seq, budget) if k is None else has_product_one(seq, k, budget):
+                    continue
+            level.append(c)
+        level.sort(reverse=True)
+        yield level
+        if not level or length == last:
+            return
+        if len(level) * order > ceiling:
+            raise InfeasibleSize(len(level) * order, ceiling)
+        candidates = {canon(r[:i] + (r[i] + 1,) + r[i + 1 :]) for r in level for i in range(order)}
 
 
 def enumerate_free(
@@ -153,45 +166,28 @@ def enumerate_free(
     length: int,
     k: int | None,
     *,
-    prune: bool = True,
     ceiling: int = DEFAULT_CEILING,
     budget: int | None = None,
 ) -> list[Sequence]:
-    """All k-product-one-free sequences of the given length (orbit
-    representatives when prune=True), in canonical order."""
-    _guard(g, length, ceiling)
-    out = []
-    for combo in _iter_multisets(g, length, prune):
-        seq = _combo_sequence(g, combo)
-        if _is_free(seq, k, budget):
-            out.append(seq)
-    return out
+    """All k-product-one-free sequences of the given length, one
+    representative per automorphism orbit, in canonical order."""
+    if length < 0:
+        raise ValueError(f"length {length} is negative")
+    for level in _free_levels(g, k, length, ceiling, budget):
+        pass
+    return [_counts_sequence(g, c) for c in level]
 
 
-def _scan_constant(
-    g: GroupSpec,
-    start: int,
-    k: int | None,
-    constant: str,
-    length_cap: int | None,
-    ceiling: int,
-    budget: int | None,
+def _first_empty_level(
+    g: GroupSpec, k: int | None, length_cap: int | None, ceiling: int, budget: int | None
 ) -> tuple[int, tuple[Sequence, ...]]:
+    """The least length with no free sequence, and the free orbits one shorter."""
     cap = length_cap if length_cap is not None else 3 * max(g.order, 1) + 1
-    prev_free: list[Sequence] | None = None
-    length = start
-    while length <= cap:
-        free = enumerate_free(g, length, k, ceiling=ceiling, budget=budget)
-        if not free:
-            if prev_free is None:
-                prev_free = (
-                    enumerate_free(g, length - 1, k, ceiling=ceiling, budget=budget)
-                    if length - 1 >= 0
-                    else []
-                )
-            return length, tuple(prev_free)
-        prev_free = free
-        length += 1
+    prev: list[tuple[int, ...]] = []
+    for length, level in enumerate(_free_levels(g, k, cap, ceiling, budget)):
+        if not level:
+            return length, tuple(_counts_sequence(g, c) for c in prev)
+        prev = level
     raise InfeasibleSize(math.comb(cap + g.order, g.order - 1) if g.order > 1 else cap, ceiling)
 
 
@@ -203,7 +199,7 @@ def gao_constant(
     budget: int | None = None,
 ) -> ConstantReport:
     """Exact E(G): least length forcing a |G|-product-one subsequence."""
-    value, certs = _scan_constant(g, g.order, g.order, "gao", length_cap, ceiling, budget)
+    value, certs = _first_empty_level(g, g.order, length_cap, ceiling, budget)
     return ConstantReport(group=g, constant="gao", value=value, certificates=certs)
 
 
@@ -215,27 +211,20 @@ def davenport_constant(
     budget: int | None = None,
 ) -> ConstantReport:
     """Exact small Davenport constant d(G): maximal product-one-free length."""
-    no_free_at, certs = _scan_constant(g, 1, None, "davenport", length_cap, ceiling, budget)
+    no_free_at, certs = _first_empty_level(g, None, length_cap, ceiling, budget)
     return ConstantReport(group=g, constant="davenport", value=no_free_at - 1, certificates=certs)
 
 
 # -- templates ---------------------------------------------------------------------
 
 
-def _canonical_reflection(g: GroupSpec) -> Element | None:
-    for c in range(g.n):
-        if (c * (g.s + 1)) % g.n == 0:
-            return Element(1, c)
-    return None
-
-
 def check_template(seq: Sequence) -> TemplateMatch | None:
     """Match the sequence shape against the known extremal templates.
 
     A match constrains shape only; freeness still needs the product engine.
-    The generator pair is reported canonically (alpha = y, tau = the least
-    involution x*y^c); any other admissible pair differs only by reparametrizing
-    t1, t2, t3.
+    The generator pair is reported canonically (alpha = y, tau = x, an
+    involution in every C_n x| C_2); any other admissible pair differs only by
+    reparametrizing t1, t2, t3.
     """
     g = seq.group
     n = g.n
@@ -273,10 +262,7 @@ def check_template(seq: Sequence) -> TemplateMatch | None:
     a1, a2 = by_mult[2 * n - 1].a, by_mult[n - 1].a
     if math.gcd(a1 - a2, n) != 1:
         return None
-    tau = _canonical_reflection(g)
-    b = xs[0][0].a
-    t3 = (b - tau.a) % n
-    return TemplateMatch(TEMPLATE_METACYCLIC, (tau, Element(0, 1)), (a1, a2, t3))
+    return TemplateMatch(TEMPLATE_METACYCLIC, (Element(1, 0), Element(0, 1)), (a1, a2, xs[0][0].a))
 
 
 def template_instances(g: GroupSpec, name: str) -> Iterator[Sequence]:

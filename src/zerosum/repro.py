@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .groups import Element, GroupSpec, mk_cyclic, mk_metacyclic, format_group
 from .sequences import Sequence, canonical_key
-from .products import has_product_one, subproducts, verify_witness
+from .products import has_product_one, pi_set, subproducts, verify_witness
 from .bounds import dgm_check
 from .constants import (
     TEMPLATE_CYCLIC,
@@ -27,6 +27,7 @@ from .constants import (
     davenport_constant,
     enumerate_free,
     gao_constant,
+    orbit_sequences,
     template_instances,
 )
 from .witnesses import (
@@ -98,8 +99,9 @@ def crit_inverse_cyclic() -> CriterionResult:
     rows = []
     for n in (3, 4, 5):
         g = mk_cyclic(n)
-        free = enumerate_free(g, 3 * n - 2, 2 * n, prune=False)
-        free_keys = {canonical_key(s) for s in free}
+        free_keys = {
+            canonical_key(s) for rep in enumerate_free(g, 3 * n - 2, 2 * n) for s in orbit_sequences(rep)
+        }
         tmpl_keys = {canonical_key(s) for s in template_instances(g, TEMPLATE_CYCLIC)}
         good = free_keys == tmpl_keys
         ok &= good
@@ -116,8 +118,6 @@ def crit_inverse_d6() -> CriterionResult:
     free_keys = set()
     for f in fams:
         for rep in f.representatives:
-            from .constants import orbit_sequences
-
             free_keys |= {canonical_key(s) for s in orbit_sequences(rep)}
     tmpl_keys = {canonical_key(s) for s in template_instances(D6, TEMPLATE_METACYCLIC)}
     tmpl_keys |= {canonical_key(s) for s in template_instances(D6, TEMPLATE_D6)}
@@ -206,6 +206,15 @@ def _upper_trial(args) -> tuple[bool, str]:
     return True, trace_rung(trace)
 
 
+def _rung_tally(results: list[tuple[bool, str]]) -> str:
+    """`rung_<name>=<count>` fields, one per rung that produced a passing trial."""
+    rungs: dict[str, int] = {}
+    for okflag, label in results:
+        if okflag:
+            rungs[label] = rungs.get(label, 0) + 1
+    return " ".join(f"rung_{k.replace('-', '_')}={v}" for k, v in sorted(rungs.items()))
+
+
 def crit_upper_sampled(
     seed: int = DEFAULT_SEED, trials: int = 1000, adversarial: int = 100, jobs: int = 1
 ) -> CriterionResult:
@@ -213,14 +222,7 @@ def crit_upper_sampled(
     args += [(seed * 2_000_003 + i, True) for i in range(adversarial)]
     results = _parallel_map(_upper_trial, args, jobs)
     failures = [r for r in results if not r[0]]
-    rungs: dict[str, int] = {}
-    for okflag, label in results:
-        if okflag:
-            rungs[label] = rungs.get(label, 0) + 1
-    rows = [
-        f"upper trials={trials} adversarial={adversarial} failures={len(failures)} "
-        + " ".join(f"rung_{k.replace('-', '_')}={v}" for k, v in sorted(rungs.items()))
-    ]
+    rows = [f"upper trials={trials} adversarial={adversarial} failures={len(failures)} " + _rung_tally(results)]
     return CriterionResult(
         "upper-sampled",
         not failures,
@@ -254,14 +256,7 @@ def _inverse_trial(seed: int) -> tuple[bool, str]:
 def crit_inverse_sampled(seed: int = DEFAULT_SEED, trials: int = 1000, jobs: int = 1) -> CriterionResult:
     results = _parallel_map(_inverse_trial, [seed * 3_000_017 + i for i in range(trials)], jobs)
     failures = [label for okflag, label in results if not okflag]
-    rungs: dict[str, int] = {}
-    for okflag, label in results:
-        if okflag:
-            rungs[label] = rungs.get(label, 0) + 1
-    rows = [
-        f"inverse-sampled trials={trials} failures={len(failures)} "
-        + " ".join(f"rung_{k.replace('-', '_')}={v}" for k, v in sorted(rungs.items()))
-    ]
+    rows = [f"inverse-sampled trials={trials} failures={len(failures)} " + _rung_tally(results)]
     return CriterionResult(
         "inverse-sampled",
         not failures,
@@ -281,8 +276,6 @@ def _structure_instance(rng: random.Random) -> tuple[Sequence, int]:
     r = rng.randrange(n1)
     terms = [Element(1, (r + n1 * rng.randrange(n2)) % 15) for _ in range(x_count)]
     terms += [Element(0, (n1 * rng.randrange(n2)) % 15) for _ in range(n2 - x_count)]
-    from .products import pi_set
-
     for delta in range(n2):
         cand = list(terms)
         el = cand[-1]

@@ -29,6 +29,7 @@ from .groups import (
     Subgroup,
     format_element,
     format_group,
+    parse_element,
     parse_group,
 )
 
@@ -222,8 +223,6 @@ def parse_sequence_file(text: str) -> Sequence:
 
 
 def _parse_seq_line(raw: str, group: GroupSpec, lineno: int) -> Sequence:
-    from .groups import parse_element
-
     body_at = raw.index("seq") + len("seq")
     body = raw[body_at:]
     counts: dict[Element, int] = {}

@@ -34,7 +34,7 @@ from .groups import (
     format_element,
     mul_table,
 )
-from .sequences import Sequence
+from .sequences import Sequence, canonical_key
 from .products import (
     ProductWitness,
     _Budget,
@@ -226,11 +226,12 @@ def extract_product_h_blocks(
 def improve_x_coverage(d: Decomposition, budget: int | None = None) -> Decomposition:
     """Greedy single-term swaps (matching C_{n2} classes, so every block stays a
     kernel-product block) until no move raises the number of blocks holding an
-    x-term.  A heuristic fixpoint, not a certified maximum."""
+    x-term.  A heuristic fixpoint, not a certified maximum; `d` itself when
+    no swap applies."""
     fam = family_context(d.blocks[0].group if d.blocks else d.remainder.group)
     blocks = list(d.blocks)
     remainder = d.remainder
-    improved = True
+    swapped, improved = False, True
     while improved:
         improved = False
         for i, blk in enumerate(blocks):
@@ -247,8 +248,10 @@ def improve_x_coverage(d: Decomposition, budget: int | None = None) -> Decomposi
                 remainder = remainder.remove(one_v).concat(one_u)
             else:
                 blocks[src] = blocks[src].remove(one_v).concat(one_u)
-            improved = True
+            swapped = improved = True
             break
+    if not swapped:
+        return d
     return make_decomposition(blocks, remainder, d.kernel, budget)
 
 
@@ -314,7 +317,7 @@ def replay_swap_argument(d: Decomposition, swap_budget: int = 10_000) -> SwapOut
     if values is None:
         raise ValueError("blocks must lie in <y> with vanishing C_{n2} component")
 
-    seen = {tuple(sorted(map(_key, d.blocks)))}
+    seen = {tuple(sorted(map(canonical_key, d.blocks)))}
     queue = [d.blocks]
     explored = 0
     first_shape = _rigid_shape(values)
@@ -336,17 +339,11 @@ def replay_swap_argument(d: Decomposition, swap_budget: int = 10_000) -> SwapOut
                     one_v = Sequence.from_counts(blocks[mi].group, {v: 1})
                     nb[li] = blocks[li].remove(one_u).concat(one_v)
                     nb[mi] = blocks[mi].remove(one_v).concat(one_u)
-                    key = tuple(sorted(map(_key, nb)))
+                    key = tuple(sorted(map(canonical_key, nb)))
                     if key not in seen:
                         seen.add(key)
                         queue.append(tuple(nb))
     return SwapOutcome("rigid", d.blocks, None, first_shape, explored)
-
-
-def _key(seq: Sequence) -> bytes:
-    from .sequences import canonical_key
-
-    return canonical_key(seq)
 
 
 def _rigid_shape(values: list[int]) -> tuple[int, int] | None:

@@ -120,6 +120,16 @@ def test_dgm_fuzz_budget_exit_across_jobs(capsys):
     assert code == EXIT_BUDGET and "limit 1" in err
 
 
+def test_dgm_fuzz_bad_jobs_is_usage_error(capsys):
+    code, out, err = run(capsys, "dgm", "--fuzz", "--trials", "5", "--jobs", "-3")
+    assert code == EXIT_USAGE and "--jobs" in err and out == ""
+
+
+def test_repro_bad_jobs_is_usage_error(capsys):
+    code, out, err = run(capsys, "repro", "cyclic", "--jobs", "0")
+    assert code == EXIT_USAGE and "--jobs" in err and out == ""
+
+
 def test_dgm_usage_error(capsys):
     code, _, err = run(capsys, "dgm")
     assert code == EXIT_USAGE

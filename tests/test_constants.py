@@ -1,4 +1,6 @@
+import itertools
 import math
+import time
 
 import pytest
 
@@ -19,7 +21,7 @@ from zerosum.constants import (
     orbit_sequences,
     template_instances,
 )
-from zerosum.products import has_product_one
+from zerosum.products import has_product_one, product_one_lengths
 
 D6 = mk_metacyclic(3, 2)
 
@@ -72,14 +74,29 @@ def test_automorphism_group_sizes():
                     assert lhs == rhs
 
 
-def test_orbit_pruning_soundness():
-    # pruned-and-expanded equals the unpruned enumeration for D6 at length 8
-    pruned = enumerate_free(D6, 8, 6, prune=True)
-    full = enumerate_free(D6, 8, 6, prune=False)
-    expanded = set()
-    for rep in pruned:
-        expanded |= {canonical_key(s) for s in orbit_sequences(rep)}
-    assert expanded == {canonical_key(s) for s in full}
+def _unpruned_free_keys(g, length, k):
+    """Oracle: every multiset of the length, tested one by one, no orbits."""
+    keys = set()
+    for combo in itertools.combinations_with_replacement(g.elements(), length):
+        seq = Sequence.from_terms(g, combo)
+        free = not product_one_lengths(seq) if k is None else has_product_one(seq, k) is None
+        if free:
+            keys.add(canonical_key(seq))
+    return keys
+
+
+@pytest.mark.parametrize(
+    "g", [mk_cyclic(5), mk_cyclic(6), D6, mk_metacyclic(3, 1)], ids=["C5", "C6", "D6", "C3xC2"]
+)
+def test_level_enumeration_matches_unpruned_oracle(g):
+    # orbit-expanded representatives equal the brute-force free set at every length
+    top = {g.order: gao_constant(g).value, None: davenport_constant(g).value + 1}
+    for k, last in top.items():
+        for length in range(last + 1):
+            reps = enumerate_free(g, length, k)
+            expanded = {canonical_key(s) for rep in reps for s in orbit_sequences(rep)}
+            assert len(expanded) == sum(len(orbit_sequences(rep)) for rep in reps)
+            assert expanded == _unpruned_free_keys(g, length, k), (k, length)
 
 
 def test_classify_d6():
@@ -134,6 +151,23 @@ def test_infeasible_guard():
         enumerate_free(mk_metacyclic(15, 11), 44, 30, ceiling=1000)
     with pytest.raises(InfeasibleSize):
         gao_constant(mk_metacyclic(15, 11), ceiling=1000)
+
+
+@pytest.mark.parametrize(
+    "g", [mk_metacyclic(8, s) for s in (7, 1, 3, 5)] + [mk_cyclic(16)],
+    ids=["D16", "n8s1", "n8s3", "n8s5", "C16"],
+)
+def test_order_16_gao_is_infeasible_before_enumerating(g):
+    # the estimate fires before any level is grown
+    start = time.perf_counter()
+    with pytest.raises(InfeasibleSize):
+        gao_constant(g)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_davenport_ceiling():
+    with pytest.raises(InfeasibleSize):
+        davenport_constant(mk_metacyclic(15, 11), ceiling=1000)
 
 
 def test_apply_automorphism_preserves_freeness():
