@@ -163,32 +163,36 @@ def _free_levels(
 
 def enumerate_free(
     g: GroupSpec,
-    length: int,
+    length: int | None,
     k: int | None,
     *,
     ceiling: int = DEFAULT_CEILING,
     budget: int | None = None,
 ) -> list[Sequence]:
     """All k-product-one-free sequences of the given length, one
-    representative per automorphism orbit, in canonical order."""
-    if length < 0:
+    representative per automorphism orbit, in canonical order.  Length None
+    asks for the greatest length that has any, searched up to 3|G|+1."""
+    if length is not None and length < 0:
         raise ValueError(f"length {length} is negative")
-    for level in _free_levels(g, k, length, ceiling, budget):
-        pass
-    return [_counts_sequence(g, c) for c in level]
+    cap = 3 * max(g.order, 1) + 1 if length is None else length
+    found: list[tuple[int, ...]] = []
+    for level in _free_levels(g, k, cap, ceiling, budget):
+        if level or length is not None:
+            found = level
+    if level and length is None:  # still not empty at the cap
+        raise InfeasibleSize(math.comb(cap + g.order, g.order - 1) if g.order > 1 else cap, ceiling)
+    return [_counts_sequence(g, c) for c in found]
 
 
-def _first_empty_level(
+def _longest_free(
     g: GroupSpec, k: int | None, length_cap: int | None, ceiling: int, budget: int | None
-) -> tuple[int, tuple[Sequence, ...]]:
-    """The least length with no free sequence, and the free orbits one shorter."""
-    cap = length_cap if length_cap is not None else 3 * max(g.order, 1) + 1
-    prev: list[tuple[int, ...]] = []
-    for length, level in enumerate(_free_levels(g, k, cap, ceiling, budget)):
-        if not level:
-            return length, tuple(_counts_sequence(g, c) for c in prev)
-        prev = level
-    raise InfeasibleSize(math.comb(cap + g.order, g.order - 1) if g.order > 1 else cap, ceiling)
+) -> tuple[Sequence, ...]:
+    """The free orbits of the greatest free length, which must be below length_cap."""
+    certs = tuple(enumerate_free(g, None, k, ceiling=ceiling, budget=budget))
+    if length_cap is not None and certs[0].length >= length_cap:
+        cap = length_cap
+        raise InfeasibleSize(math.comb(cap + g.order, g.order - 1) if g.order > 1 else cap, ceiling)
+    return certs
 
 
 def gao_constant(
@@ -199,8 +203,8 @@ def gao_constant(
     budget: int | None = None,
 ) -> ConstantReport:
     """Exact E(G): least length forcing a |G|-product-one subsequence."""
-    value, certs = _first_empty_level(g, g.order, length_cap, ceiling, budget)
-    return ConstantReport(group=g, constant="gao", value=value, certificates=certs)
+    certs = _longest_free(g, g.order, length_cap, ceiling, budget)
+    return ConstantReport(group=g, constant="gao", value=certs[0].length + 1, certificates=certs)
 
 
 def davenport_constant(
@@ -211,8 +215,8 @@ def davenport_constant(
     budget: int | None = None,
 ) -> ConstantReport:
     """Exact small Davenport constant d(G): maximal product-one-free length."""
-    no_free_at, certs = _first_empty_level(g, None, length_cap, ceiling, budget)
-    return ConstantReport(group=g, constant="davenport", value=no_free_at - 1, certificates=certs)
+    certs = _longest_free(g, None, length_cap, ceiling, budget)
+    return ConstantReport(group=g, constant="davenport", value=certs[0].length, certificates=certs)
 
 
 # -- templates ---------------------------------------------------------------------

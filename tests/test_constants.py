@@ -1,6 +1,5 @@
 import itertools
 import math
-import time
 
 import pytest
 
@@ -137,6 +136,17 @@ def test_check_template_examples():
     assert check_template(Sequence.from_counts(g, {Element(0, 1): 30, Element(0, 2): 13, Element(1, 0): 1})) is None
 
 
+def test_metacyclic_template_parameters():
+    # generators are (x, y) and the parameters (t1, t2, t3) are the exponents of
+    # y^t1, y^t2 and x*y^t3, also where x*y^c is an involution for some c > 0
+    for n, s in ((3, 2), (5, 4), (8, 3), (15, 11)):
+        g = mk_metacyclic(n, s)
+        seq = Sequence.from_counts(g, {Element(0, 1): 2 * n - 1, Element(0, 2): n - 1, Element(1, n - 1): 1})
+        m = check_template(seq)
+        assert m.generators == (Element(1, 0), Element(0, 1))
+        assert m.params == (1, 2, n - 1)
+
+
 def test_template_instances_are_free():
     for s in template_instances(mk_cyclic(4), TEMPLATE_CYCLIC):
         assert has_product_one(s, 8) is None
@@ -158,11 +168,23 @@ def test_infeasible_guard():
     ids=["D16", "n8s1", "n8s3", "n8s5", "C16"],
 )
 def test_order_16_gao_is_infeasible_before_enumerating(g):
-    # the estimate fires before any level is grown
-    start = time.perf_counter()
-    with pytest.raises(InfeasibleSize):
+    # the estimate of the first tested level fires before any level is grown;
+    # a level grown too large would report its own size instead
+    with pytest.raises(InfeasibleSize) as err:
         gao_constant(g)
-    assert time.perf_counter() - start < 1.0
+    order = g.order
+    assert err.value.estimate == math.comb(2 * order - 2, order - 1) // len(automorphisms(g)) * order
+
+
+def test_longest_free_level():
+    g = mk_cyclic(5)
+    assert enumerate_free(g, None, 5) == enumerate_free(g, 8, 5) == list(gao_constant(g).certificates)
+    assert enumerate_free(g, None, None) == enumerate_free(g, 4, None)
+    assert gao_constant(g, 9).value == 9
+    with pytest.raises(InfeasibleSize):
+        gao_constant(g, 8)
+    with pytest.raises(InfeasibleSize):  # y^j is 2-product-one free at every length
+        enumerate_free(mk_cyclic(3), None, 2)
 
 
 def test_davenport_ceiling():
