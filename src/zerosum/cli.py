@@ -172,7 +172,9 @@ def build_parser() -> _Parser:
     _add_common(p, seq=True)
     p.add_argument("--k", type=int, required=True)
 
-    p = sub.add_parser("replay", help="run the witness ladder with a step trace")
+    p = sub.add_parser(
+        "replay", help="run the witness path (y-part, one block pass, kernel) with a step trace"
+    )
     _add_common(p, seq=True)
     p.add_argument("--trace", action="store_true", help="print step records")
 

@@ -149,11 +149,6 @@ def mul_table(g: GroupSpec) -> tuple[tuple[int, ...], ...]:
     )
 
 
-@functools.lru_cache(maxsize=None)
-def inv_table(g: GroupSpec) -> tuple[int, ...]:
-    return tuple(g.element_index(g.inv(u)) for u in _elements(g))
-
-
 def mk_metacyclic(n: int, s: int) -> GroupSpec:
     """The order-2n group <x, y : x^2 = y^n = 1, yx = x y^s>; requires s^2 = 1 (mod n)."""
     if n < 3:
@@ -376,9 +371,6 @@ class Hom:
             raise GroupError(
                 f"{self.name or 'map'} is not defined on {format_element(u)}"
             ) from None
-
-    def defined_on(self, u: Element) -> bool:
-        return u in self.table
 
 
 def quotient_map(g: GroupSpec, h: Subgroup) -> Hom:

@@ -435,13 +435,10 @@ def find_arrangement(
     if picks is None:
         return None
     w = ProductWitness(_arrange(support, picks), target)
-    if target == g.identity:
-        _assert_cyclic_shifts(g, w.elements)  # shift 0 is the product itself
-    else:
-        prod = g.identity
-        for el in w.elements:
-            prod = g.mul(prod, el)
-        assert prod == target, "sign-class arrangement does not multiply to its target"
+    prod = g.identity
+    for el in w.elements:
+        prod = g.mul(prod, el)
+    assert prod == target, "sign-class arrangement does not multiply to its target"
     return w
 
 
@@ -452,17 +449,6 @@ def product_one_lengths(seq: Sequence, budget: int | None = None) -> list[int]:
         return []
     _, dp = _sequence_dp(seq, 1, seq.length, b)
     return [k for k in range(1, seq.length + 1) if dp.reachable(k)[0] & 1]
-
-
-def _assert_cyclic_shifts(g: GroupSpec, elements: tuple[Element, ...]) -> None:
-    # A product-one ordering stays product-one under every cyclic rotation.
-    k = len(elements)
-    one = g.identity
-    for i in range(k):
-        prod = one
-        for j in range(k):
-            prod = g.mul(prod, elements[(i + j) % k])
-        assert prod == one, "cyclic shift of a product-one witness failed"
 
 
 # -- independent verifier --------------------------------------------------------

@@ -7,11 +7,10 @@ verified path:
 
 1. exact subset-sum DP on the <y>-part (complete whenever at most one term
    lies outside <y>, and cheap to try always);
-2. the block pass: pull eight length-m blocks whose C_m-component sums
-   vanish, locally improve how many blocks contain an x-term, then search
-   (a) whole-block compositions of chosen block products over the order-6
-   kernel, and (b) when none closes, re-anchor an x-term that no block holds
-   onto a fresh block, re-extract the rest and search again;
+2. one block pass: pull eight length-m blocks whose C_m-component sums
+   vanish, building each block's product DP once, then search the
+   compositions of six whole blocks, with products chosen from each block's
+   product set, for one that closes over the order-6 kernel;
 3. the exact sign-class DP on the whole sequence, which is complete.
 
 Every rung returns only witnesses that pass the independent verifier, and a
@@ -22,7 +21,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 from .groups import (
     Element,
@@ -31,7 +31,6 @@ from .groups import (
     Subgroup,
     crt_scalars,
     factorize,
-    format_element,
     mul_table,
 )
 from .sequences import Sequence, canonical_key
@@ -142,18 +141,16 @@ def _pick_subset(
     return Sequence.from_counts(seq.group, picked)
 
 
-def egz_extract(seq: Sequence, m: int | None = None, budget: int | None = None) -> Sequence:
-    """A length-m subsequence with product one over a cyclic group of order m.
+def egz_extract(seq: Sequence, *, budget: int | None = None) -> Sequence:
+    """A length-n subsequence with product one over the cyclic part <y> of order n.
 
-    Requires |seq| >= 2m-1, which guarantees existence; the subsequence is
+    Requires |seq| >= 2n-1, which guarantees existence; the subsequence is
     found by the exact subset-sum DP and is deterministic.
     """
     g = seq.group
     if any(el.eps for el in seq.support):
         raise ValueError("egz_extract needs a sequence over the cyclic part <y>")
-    m = g.n if m is None else m
-    if m != g.n:
-        raise ValueError(f"block length {m} must equal the cyclic order {g.n}")
+    m = g.n
     if seq.length < 2 * m - 1:
         raise ValueError(f"need length >= {2 * m - 1}, got {seq.length}")
     block = _pick_subset(seq, lambda el: el.a % m, m, m, 0, _Budget(budget))
@@ -170,13 +167,18 @@ class Decomposition:
 
     Each block T satisfies pi(T) inside the kernel subgroup (its C_{n2}
     component sums vanish); sigmas holds one chosen product per block, the
-    canonically smallest element of pi(T).
+    canonically smallest element of pi(T).  products and arrangers hold each
+    block's pi(T) and its arranger, from the one DP built per block.
     """
 
     blocks: tuple[Sequence, ...]
     remainder: Sequence
     kernel: Subgroup
     sigmas: tuple[Element, ...]
+    products: tuple[frozenset[Element], ...] = field(compare=False, repr=False)
+    arrangers: tuple[Callable[[Element], tuple[Element, ...]], ...] = field(
+        compare=False, repr=False
+    )
 
     def reassemble(self) -> Sequence:
         out = self.remainder
@@ -191,14 +193,18 @@ class Decomposition:
 def make_decomposition(
     blocks: list[Sequence], remainder: Sequence, kernel: Subgroup, budget: int | None = None
 ) -> Decomposition:
-    sigmas = []
+    sigmas, products, arrangers = [], [], []
     for b in blocks:
-        pset = pi_set(b, budget)
+        pset, arrange = products_with_arranger(b, budget)
         sigma = min(pset)
         if sigma not in kernel:
             raise ValueError(f"block {b} is not a product-{kernel.description} sequence")
         sigmas.append(sigma)
-    return Decomposition(tuple(blocks), remainder, kernel, tuple(sigmas))
+        products.append(pset)
+        arrangers.append(arrange)
+    return Decomposition(
+        tuple(blocks), remainder, kernel, tuple(sigmas), tuple(products), tuple(arrangers)
+    )
 
 
 def extract_product_h_blocks(
@@ -354,10 +360,7 @@ def _rigid_shape(values: list[int]) -> tuple[int, int] | None:
     return None
 
 
-# -- the witness ladder ---------------------------------------------------------------
-
-
-_MAX_REANCHOR_ROUNDS = 6
+# -- the witness path -----------------------------------------------------------------
 
 
 def find_big_product_one(
@@ -392,7 +395,9 @@ def find_big_product_one(
             return done(w, "y-part")
         tr(step="y-part", hit="none")
 
-    w = _pipeline(seq, fam, budget, tr)
+    d = extract_product_h_blocks(seq, fam.kernel, 8, budget=budget)
+    tr(step="extract", coverage=d.x_coverage())
+    w = _stage_whole_blocks(d, fam, tr)
     if w is not None:
         return done(w, "pipeline")
 
@@ -410,26 +415,7 @@ def trace_rung(trace: list[str]) -> str:
     return trace[-1].split("rung=")[1].split()[0]
 
 
-def _pipeline(seq, fam, budget, tr):
-    try:
-        d = extract_product_h_blocks(seq, fam.kernel, 8, budget=budget)
-    except ValueError:
-        return None
-    d = improve_x_coverage(d, budget)
-    tr(step="extract", coverage=d.x_coverage())
-    tried_anchors: set = set()
-    for _ in range(_MAX_REANCHOR_ROUNDS):
-        w = _stage_whole_blocks(d, fam, budget, tr)
-        if w is not None:
-            return w
-        d2 = _stage_reanchor(seq, d, fam, tried_anchors, budget, tr)
-        if d2 is None:
-            break
-        d = improve_x_coverage(d2, budget)
-    return None
-
-
-def _stage_whole_blocks(d, fam, budget, tr):
+def _stage_whole_blocks(d, fam, tr):
     """Order six whole blocks, products chosen freely from each pi(T).
 
     A breadth-first search over (used-block mask, product index) on the Cayley
@@ -438,11 +424,7 @@ def _stage_whole_blocks(d, fam, budget, tr):
     """
     g = fam.group
     table = mul_table(g)
-    sets, arrangers = [], []
-    for blk in d.blocks:
-        members, arrange = products_with_arranger(blk, budget)
-        sets.append(sorted(g.element_index(el) for el in members))
-        arrangers.append(arrange)
+    sets = [sorted(g.element_index(el) for el in ps) for ps in d.products]
     ident = g.element_index(g.identity)
     start = (0, ident)
     parents = {start: None}
@@ -462,7 +444,7 @@ def _stage_whole_blocks(d, fam, budget, tr):
                         parents[nst] = (state, i, sigma)
                         nxt.append(nst)
                         if level == 5 and nst[1] == ident:
-                            return _assemble_whole(g, parents, nst, arrangers, tr)
+                            return _assemble_whole(g, parents, nst, d.arrangers, tr)
         frontier = nxt
     tr(step="whole-blocks", hit="none")
     return None
@@ -481,43 +463,6 @@ def _assemble_whole(g, parents, state, arrangers, tr):
         elements.extend(arrangers[i](sigma))
     tr(step="whole-blocks", blocks=",".join(str(i) for i, _ in path))
     return ProductWitness(tuple(elements), g.identity)
-
-
-def _stage_reanchor(seq, d, fam, tried, budget, tr):
-    """Build a fresh block around an x-term that no block holds, completing it
-    with n2 - 1 terms picked by the class DP, and re-extract everything else."""
-    g = fam.group
-    n2 = fam.n2
-    candidates = sorted(set(el for el in d.remainder.support if el.eps == 1))
-    if not candidates:
-        multi = [i for i, b in enumerate(d.blocks) if b.x_part().length >= 2]
-        if multi:
-            candidates = sorted(set(el for el in d.blocks[multi[0]].support if el.eps == 1))
-    b = _Budget(budget)
-    for h in candidates:
-        if h in tried:
-            continue
-        tried.add(h)
-        rest = seq.remove(Sequence.from_counts(g, {h: 1}))
-        t0 = _pick_subset(rest, fam.component, n2, n2 - 1, (-fam.component(h)) % n2, b)
-        if t0 is None:
-            continue
-        anchor = t0.concat(Sequence.from_counts(g, {h: 1}))
-        remaining = seq.remove(anchor)
-        try:
-            blocks = [anchor]
-            for _ in range(7):
-                blk = _pick_subset(remaining, fam.component, n2, n2, 0, b)
-                if blk is None:
-                    raise ValueError
-                blocks.append(blk)
-                remaining = remaining.remove(blk)
-        except ValueError:
-            continue
-        tr(step="reanchor", h=format_element(h))
-        return make_decomposition(blocks, remaining, fam.kernel, budget)
-    tr(step="reanchor", hit="none")
-    return None
 
 
 # -- structure of singleton product sets ----------------------------------------------

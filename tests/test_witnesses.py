@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+from zerosum import witnesses
 from zerosum.groups import Element, factorize, mk_cyclic, mk_metacyclic, subgroup_generated
 from zerosum.sequences import Sequence, canonical_key
 from zerosum.products import pi_set, verify_witness
+from zerosum.repro import _upper_trial
 from zerosum.witnesses import (
     WitnessSearchExhausted,
     egz_extract,
@@ -226,6 +228,53 @@ def test_find_big_product_one_order66_uses_block_pass():
         assert w.k == 66
         assert verify_witness(s, w) == (True, "ok")
         assert trace_rung(trace) == "pipeline"
+
+
+def test_block_pass_builds_one_dp_per_block(monkeypatch):
+    # eight blocks, one product DP each: no second DP for whole-blocks and
+    # no rebuild after a coverage swap
+    calls = []
+    for name in ("pi_set", "products_with_arranger"):
+        inner = getattr(witnesses, name)
+
+        def counted(*args, _inner=inner, **kwargs):
+            calls.append(1)
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(witnesses, name, counted)
+    rng = random.Random(123)
+    els = G30.elements()
+    served = 0
+    for _ in range(50):
+        s = Sequence.from_terms(G30, (els[rng.randrange(30)] for _ in range(45)))
+        calls.clear()
+        trace = []
+        w = find_big_product_one(s, trace=trace)
+        assert verify_witness(s, w) == (True, "ok")
+        if trace_rung(trace) == "pipeline":
+            served += 1
+            assert len(calls) == 8
+    assert served > 0
+
+
+def test_failed_whole_blocks_falls_to_kernel(monkeypatch):
+    # adversarial trial 29 of `repro upper` at seed 42: the whole-blocks
+    # search finds no closing composition, and the kernel answers at once
+    traces = []
+    inner = witnesses.find_big_product_one
+
+    def traced(seq, **kwargs):
+        w = inner(seq, **kwargs)
+        traces.append((seq, kwargs["trace"], w))
+        return w
+
+    monkeypatch.setattr("zerosum.repro.find_big_product_one", traced)
+    assert _upper_trial((84000155, True)) == (True, "direct")
+    (s, trace, w), = traces
+    assert sum(t.startswith("step=whole-blocks") for t in trace) == 1
+    assert trace_rung(trace) == "direct"
+    assert w.k == 30
+    assert verify_witness(s, w) == (True, "ok")
 
 
 def test_find_big_product_one_rejections():
