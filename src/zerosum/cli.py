@@ -105,6 +105,17 @@ def _jobs(args) -> int:
     return args.jobs
 
 
+def _fuzz_sizes(args) -> None:
+    """Reject fuzz sizes before any trial runs: no trials, or no group or length to draw."""
+    for flag, value, least in (
+        ("--trials", args.trials, 0),
+        ("--max-order", args.max_order, 2),
+        ("--max-len", args.max_len, 1),
+    ):
+        if value < least:
+            raise ValueError(f"{flag} must be at least {least}, got {value}")
+
+
 def _add_common(p: argparse.ArgumentParser, *, seq=False, group=False, budget=True):
     p.add_argument("--records", action="store_true", help="line-delimited key=value output")
     if budget:
@@ -124,37 +135,46 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("group", help="validate and describe a group literal")
     _add_common(p, group=True, budget=False)
+    p.set_defaults(run=_cmd_group)
 
     p = sub.add_parser("pi", help="the set of products of the full sequence")
     _add_common(p, seq=True)
+    p.set_defaults(run=_cmd_pi)
 
     p = sub.add_parser("subproducts", help="products over all length-n subsequences")
     _add_common(p, seq=True)
     p.add_argument("--n", type=int, required=True)
+    p.set_defaults(run=_cmd_subproducts)
 
     p = sub.add_parser("check", help="assert the sequence is k-product-one free")
     _add_common(p, seq=True)
     p.add_argument("--k", type=int, required=True)
+    p.set_defaults(run=_cmd_check)
 
     p = sub.add_parser("verify-witness", help="verify witness certificate lines against a sequence")
     _add_common(p, seq=True, budget=False)
     p.add_argument("--witness", required=True, help="file of witness lines")
+    p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("gao", help="exact Gao constant by growing free sequences level by level")
     _add_common(p, group=True)
     p.add_argument("--cap", type=int, default=None, help="maximum length to scan")
+    p.set_defaults(run=functools.partial(_cmd_constant, gao_constant))
 
     p = sub.add_parser("davenport", help="exact small Davenport constant")
     _add_common(p, group=True)
     p.add_argument("--cap", type=int, default=None)
+    p.set_defaults(run=functools.partial(_cmd_constant, davenport_constant))
 
     p = sub.add_parser("classify", help="classify k-product-one-free sequences of a length")
     _add_common(p, group=True)
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
+    p.set_defaults(run=_cmd_classify)
 
     p = sub.add_parser("template", help="match a sequence against the extremal templates")
     _add_common(p, seq=True, budget=False)
+    p.set_defaults(run=_cmd_template)
 
     p = sub.add_parser("dgm", help="subproduct lower-bound report, or seeded fuzzing")
     _add_common(p)
@@ -167,22 +187,26 @@ def build_parser() -> _Parser:
     p.add_argument("--max-len", type=int, default=20)
     p.add_argument("--seed", type=int, default=repro.DEFAULT_SEED)
     p.add_argument("--jobs", type=int, default=1, help="worker processes (at least 1)")
+    p.set_defaults(run=_cmd_dgm)
 
     p = sub.add_parser("witness", help="find a verified k-product-one witness")
     _add_common(p, seq=True)
     p.add_argument("--k", type=int, required=True)
+    p.set_defaults(run=_cmd_witness)
 
     p = sub.add_parser(
         "replay", help="run the witness path (y-part, one block pass, kernel) with a step trace"
     )
     _add_common(p, seq=True)
     p.add_argument("--trace", action="store_true", help="print step records")
+    p.set_defaults(run=_cmd_replay)
 
     p = sub.add_parser("repro", help="run a reproduction suite")
     p.add_argument("suite", choices=repro.SUITE_NAMES)
     p.add_argument("--records", action="store_true")
     p.add_argument("--seed", type=int, default=repro.DEFAULT_SEED)
     p.add_argument("--jobs", type=int, default=1, help="worker processes (at least 1)")
+    p.set_defaults(run=_cmd_repro)
 
     return top
 
@@ -191,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     out = _Out(getattr(args, "records", False))
     try:
-        return _dispatch(args, out)
+        return args.run(args, out)
     except (GroupError, SequenceParseError, FileNotFoundError, ValueError) as exc:
         print(f"zerosum: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -201,34 +225,6 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"zerosum: budget: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-
-
-def _dispatch(args, out: _Out) -> int:
-    if args.cmd == "group":
-        return _cmd_group(args, out)
-    if args.cmd == "pi":
-        return _cmd_pi(args, out)
-    if args.cmd == "subproducts":
-        return _cmd_subproducts(args, out)
-    if args.cmd == "check":
-        return _cmd_check(args, out)
-    if args.cmd == "verify-witness":
-        return _cmd_verify(args, out)
-    if args.cmd in ("gao", "davenport"):
-        return _cmd_constant(args, out)
-    if args.cmd == "classify":
-        return _cmd_classify(args, out)
-    if args.cmd == "template":
-        return _cmd_template(args, out)
-    if args.cmd == "dgm":
-        return _cmd_dgm(args, out)
-    if args.cmd == "witness":
-        return _cmd_witness(args, out)
-    if args.cmd == "replay":
-        return _cmd_replay(args, out)
-    if args.cmd == "repro":
-        return _cmd_repro(args, out)
-    raise ValueError(f"unknown command {args.cmd}")
 
 
 def _cmd_group(args, out: _Out) -> int:
@@ -298,9 +294,8 @@ def _cmd_verify(args, out: _Out) -> int:
     return status
 
 
-def _cmd_constant(args, out: _Out) -> int:
+def _cmd_constant(fn, args, out: _Out) -> int:
     g = parse_group(args.group)
-    fn = gao_constant if args.cmd == "gao" else davenport_constant
     rep = fn(g, args.cap, budget=_budget(args))
     out.emit(
         f"{args.cmd} constant of {format_group(g)} = {rep.value} "
@@ -352,6 +347,7 @@ def _cmd_template(args, out: _Out) -> int:
 def _cmd_dgm(args, out: _Out) -> int:
     if args.fuzz:
         jobs = _jobs(args)
+        _fuzz_sizes(args)
         trial = functools.partial(
             repro._dgm_trial, max_order=args.max_order, max_len=args.max_len, budget=_budget(args)
         )
@@ -415,7 +411,6 @@ def _cmd_witness(args, out: _Out) -> int:
 
 def _cmd_replay(args, out: _Out) -> int:
     seq = _load_sequence(args.seq, args.group)
-    fam = family_context(seq.group)
     trace: list[str] = []
     try:
         w = find_big_product_one(seq, budget=_budget(args), trace=trace)
@@ -425,7 +420,7 @@ def _cmd_replay(args, out: _Out) -> int:
         for line in trace:
             out.raw(line)
     if w is None:
-        out.emit("ladder exhausted: no witness (sequence may be extremal)", op="replay", found=False)
+        out.emit("witness path exhausted: no witness (sequence may be extremal)", op="replay", found=False)
         return EXIT_CLAIM_FALSE
     out.emit(f"witness of length {w.k} found", op="replay", found=True, k=w.k)
     out.raw(format_witness_line(w))

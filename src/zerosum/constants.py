@@ -174,7 +174,7 @@ def enumerate_free(
     asks for the greatest length that has any, searched up to 3|G|+1."""
     if length is not None and length < 0:
         raise ValueError(f"length {length} is negative")
-    cap = 3 * max(g.order, 1) + 1 if length is None else length
+    cap = 3 * g.order + 1 if length is None else length
     found: list[tuple[int, ...]] = []
     for level in _free_levels(g, k, cap, ceiling, budget):
         if level or length is not None:
@@ -188,6 +188,8 @@ def _longest_free(
     g: GroupSpec, k: int | None, length_cap: int | None, ceiling: int, budget: int | None
 ) -> tuple[Sequence, ...]:
     """The free orbits of the greatest free length, which must be below length_cap."""
+    if length_cap is not None and length_cap < 0:
+        raise ValueError(f"length cap {length_cap} is negative")
     certs = tuple(enumerate_free(g, None, k, ceiling=ceiling, budget=budget))
     if length_cap is not None and certs[0].length >= length_cap:
         cap = length_cap

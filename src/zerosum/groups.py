@@ -217,10 +217,7 @@ def crt_scalars(g: GroupSpec, f: Factorization | None = None) -> tuple[int, int]
     f = f or factorize(g)
     if not f.coprime:
         raise GroupError(f"factorization ({f.n1},{f.n2}) is not coprime")
-    if f.n2 == 1:
-        e1 = 0
-    else:
-        e1 = (f.n1 * pow(f.n1, -1, f.n2)) % g.n
+    e1 = (f.n1 * pow(f.n1, -1, f.n2)) % g.n  # 0 when n2 = 1, as pow(n1, -1, 1) == 0
     return e1, (1 - e1) % g.n
 
 

@@ -15,6 +15,9 @@ over (copies used, x0 - x1, has-x) states mapped to bitmasks over Z_n, with
 one table per support entry so that a backtrack recovers the (j0, j1) class
 counts of every entry, and from them a witness ordering.  Over <y>, or over a
 cyclic group, no x-term exists and the DP is the plain subset sum (t = 0).
+Empty sequences and k = 0 take the same path, with no special case around
+the kernel; only pi(S) of commuting terms (an abelian group, or every term
+in <y>) is a plain sum, since it has one member.
 
 Budgets count DP cells, n per (copies, x0 - x1, has-x) slot that a support
 entry's table fills: one per residue of Z_n in the slot's bitmask.  Exceeding
@@ -98,10 +101,6 @@ class SubproductSet:
     n: int
     members: frozenset[Element]
     stabilizer: Subgroup
-
-
-def _is_y_supported(seq: Sequence) -> bool:
-    return all(el.eps == 0 for el, _ in seq.counts)
 
 
 # -- the sign-class DP -----------------------------------------------------------
@@ -349,19 +348,7 @@ def _arrange(support: list[Element], picks: list[tuple[int, int]]) -> tuple[Elem
 
 def pi_set(seq: Sequence, budget: int | None = None) -> frozenset[Element]:
     """All products of the full sequence over all orderings."""
-    g = seq.group
-    b = _Budget(budget)
-    if seq.length == 0:
-        return frozenset([g.identity])
-    if g.is_abelian or _is_y_supported(seq):
-        eps = 0
-        a = 0
-        for el, m in seq.counts:
-            eps ^= (el.eps * m) & 1
-            a = (a + el.a * m) % g.n
-        return frozenset([Element(eps, a)])
-    _, dp = _sequence_dp(seq, seq.length, seq.length, b)
-    return _members(g, dp, seq.length)
+    return products_with_arranger(seq, budget)[0]
 
 
 def products_with_arranger(
@@ -370,27 +357,29 @@ def products_with_arranger(
     """pi(S) plus a deterministic arranger: target -> ordered full arrangement."""
     g = seq.group
     b = _Budget(budget)
-    if _is_y_supported(seq):
-        total = 0
+    length = seq.length
+    if g.is_abelian or all(el.eps == 0 for el, _ in seq.counts):
+        # the terms commute: one product, which every ordering realizes
+        eps = a = 0
         for el, m in seq.counts:
-            total = (total + el.a * m) % g.n
-        members = frozenset([Element(0, total)])
+            eps ^= el.eps & m
+            a = (a + el.a * m) % g.n
+        members = frozenset([Element(eps, a)])
 
-        def arrange_y(target: Element) -> tuple[Element, ...]:
-            if target not in members:
-                raise KeyError(f"{format_element(target)} not in pi(S)")
+        def order(target: Element) -> tuple[Element, ...]:
             return tuple(seq.terms())
 
-        return members, arrange_y
+    else:
+        support, dp = _sequence_dp(seq, length, length, b)
+        members = _members(g, dp, length)
 
-    length = seq.length
-    support, dp = _sequence_dp(seq, length, length, b)
-    members = _members(g, dp, length)
+        def order(target: Element) -> tuple[Element, ...]:
+            return _arrange(support, dp.pick(length, target.eps, target.a))
 
     def arrange(target: Element) -> tuple[Element, ...]:
         if target not in members:
             raise KeyError(f"{format_element(target)} not in pi(S)")
-        return _arrange(support, dp.pick(length, target.eps, target.a))
+        return order(target)
 
     return members, arrange
 
@@ -400,12 +389,8 @@ def subproducts(seq: Sequence, n: int, budget: int | None = None) -> SubproductS
     g = seq.group
     if not 0 <= n <= seq.length:
         raise ValueError(f"subproduct length {n} out of range [0, {seq.length}]")
-    b = _Budget(budget)
-    if n == 0:
-        members = frozenset([g.identity])
-    else:
-        _, dp = _sequence_dp(seq, n, n, b)
-        members = _members(g, dp, n)
+    _, dp = _sequence_dp(seq, n, n, _Budget(budget))
+    members = _members(g, dp, n)
     return SubproductSet(n=n, members=members, stabilizer=stabilizer(g, members))
 
 
@@ -428,8 +413,6 @@ def find_arrangement(
     b = _Budget(budget)
     if k > seq.length:
         return None
-    if k == 0:
-        return ProductWitness((), g.identity) if target == g.identity else None
     support, dp = _sequence_dp(seq, k, k, b)
     picks = dp.pick(k, target.eps, target.a)
     if picks is None:
@@ -444,10 +427,7 @@ def find_arrangement(
 
 def product_one_lengths(seq: Sequence, budget: int | None = None) -> list[int]:
     """All k >= 1 with 1_G in Pi_k(S)."""
-    b = _Budget(budget)
-    if seq.length == 0:
-        return []
-    _, dp = _sequence_dp(seq, 1, seq.length, b)
+    _, dp = _sequence_dp(seq, 1, seq.length, _Budget(budget))
     return [k for k in range(1, seq.length + 1) if dp.reachable(k)[0] & 1]
 
 

@@ -77,11 +77,8 @@ def family_context(g: GroupSpec) -> FamilyContext:
             f"(needs n1=3 and gcd(6, n2)=1; factorization gives ({f.n1},{f.n2}))"
         )
     n2 = f.n2
-    if n2 == 1:
-        w = 0
-    else:
-        e1, _ = crt_scalars(g, f)
-        w = (e1 // f.n1) % n2
+    e1, _ = crt_scalars(g, f)
+    w = (e1 // f.n1) % n2
     members = frozenset(el for el in g.elements() if el.a % n2 == 0)
     kernel = Subgroup(g, members, f"<x, y^{n2}>")
     return FamilyContext(group=g, n2=n2, kernel=kernel, _w=w)
@@ -103,18 +100,6 @@ def _pick_subset(
     Deterministic: the DP resolves class counts, then concrete terms are
     assigned in canonical element order.
     """
-    if m == 1:
-        if k > seq.length:
-            return None
-        picked: dict[Element, int] = {}
-        left = k
-        for el, cnt in seq.counts:
-            take = min(cnt, left)
-            if take:
-                picked[el] = take
-                left -= take
-        return Sequence.from_counts(seq.group, picked) if left == 0 else None
-
     classes: dict[int, int] = {}
     for el, cnt in seq.counts:
         c = class_of(el)

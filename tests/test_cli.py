@@ -125,6 +125,23 @@ def test_dgm_fuzz_bad_jobs_is_usage_error(capsys):
     assert code == EXIT_USAGE and "--jobs" in err and out == ""
 
 
+@pytest.mark.parametrize(
+    "flag,value", [("--trials", "-5"), ("--max-order", "1"), ("--max-len", "0")]
+)
+def test_dgm_fuzz_bad_sizes_are_usage_errors(capsys, monkeypatch, flag, value):
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a fuzz trial ran")
+
+    monkeypatch.setattr("zerosum.repro._dgm_trial", no_trial)
+    code, out, err = run(capsys, "dgm", "--fuzz", flag, value)
+    assert code == EXIT_USAGE and flag in err and out == ""
+
+
+def test_gao_negative_cap_is_usage_error(capsys):
+    code, out, err = run(capsys, "gao", "--group", "cyclic n=5", "--cap", "-3")
+    assert code == EXIT_USAGE and "-3" in err and out == ""
+
+
 def test_repro_bad_jobs_is_usage_error(capsys):
     code, out, err = run(capsys, "repro", "cyclic", "--jobs", "0")
     assert code == EXIT_USAGE and "--jobs" in err and out == ""
@@ -139,6 +156,14 @@ def test_replay_trace(capsys, extremal_file):
     code, out, _ = run(capsys, "replay", "--seq", extremal_file, "--trace")
     assert code == EXIT_CLAIM_FALSE
     assert "step=start" in out
+    assert "witness path exhausted" in out
+
+
+def test_replay_outside_family_is_usage_error(capsys, tmp_path):
+    p = tmp_path / "d10.seq"
+    p.write_text("group metacyclic n=5 s=4\nseq y^1 * 14, x * 1\n")
+    code, out, err = run(capsys, "replay", "--seq", str(p))
+    assert code == EXIT_USAGE and "outside" in err and out == ""
 
 
 def test_classify_records(capsys):

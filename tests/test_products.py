@@ -331,9 +331,23 @@ def test_sign_class_kernel_matches_permutation_oracle(case):
                 assert w is None
     lengths = [k for k in range(1, len(terms) + 1) if g.identity in expect[k]]
     assert product_one_lengths(s) == lengths
-    if terms:
-        members, arrange = products_with_arranger(s)
-        assert members == expect[len(terms)]
-        for target in members:
-            w = ProductWitness(arrange(target), target)
-            assert w.k == len(terms) and verify_witness(s, w, target) == (True, "ok")
+    assert pi_set(s) == expect[len(terms)]
+    members, arrange = products_with_arranger(s)
+    assert members == expect[len(terms)]
+    for target in members:
+        w = ProductWitness(arrange(target), target)
+        assert w.k == len(terms) and verify_witness(s, w, target) == (True, "ok")
+
+
+def test_pi_set_never_lists_terms(monkeypatch):
+    # pi(S) of commuting terms is a sum over the support; the term list is built
+    # only when an arranger is called
+    def no_terms(self):
+        raise AssertionError("pi_set listed the terms")
+
+    monkeypatch.setattr(Sequence, "terms", no_terms)
+    ys = Sequence.from_counts(G30, {Element(0, 1): 7, Element(0, 4): 3})
+    assert pi_set(ys) == {Element(0, 4)}
+    c6c2 = mk_metacyclic(6, 1)
+    mixed = Sequence.from_counts(c6c2, {Element(0, 5): 2, Element(1, 1): 3, Element(1, 4): 2})
+    assert pi_set(mixed) == {Element(1, 3)}

@@ -3,9 +3,17 @@ import random
 import pytest
 
 from zerosum import witnesses
-from zerosum.groups import Element, factorize, mk_cyclic, mk_metacyclic, subgroup_generated
+from zerosum.constants import gao_constant
+from zerosum.groups import (
+    Element,
+    crt_scalars,
+    factorize,
+    mk_cyclic,
+    mk_metacyclic,
+    subgroup_generated,
+)
 from zerosum.sequences import Sequence, canonical_key
-from zerosum.products import pi_set, verify_witness
+from zerosum.products import has_product_one, pi_set, verify_witness
 from zerosum.repro import _upper_trial
 from zerosum.witnesses import (
     WitnessSearchExhausted,
@@ -275,6 +283,32 @@ def test_failed_whole_blocks_falls_to_kernel(monkeypatch):
     assert trace_rung(trace) == "direct"
     assert w.k == 30
     assert verify_witness(s, w) == (True, "ok")
+
+
+def test_find_big_product_one_d6():
+    # n2 = 1: the blocks are single terms, picked by the subset-sum DP over Z_1
+    d6 = mk_metacyclic(3, 2)
+    assert crt_scalars(d6) == (0, 1)
+    assert egz_extract(Sequence.from_counts(mk_cyclic(1), {Element(0, 0): 3})).length == 1
+    rng = random.Random(6)
+    els = d6.elements()
+    inputs = list(gao_constant(d6).certificates)  # free at length 8
+    for length in (8, 9, 12):
+        inputs += [
+            Sequence.from_terms(d6, (els[rng.randrange(6)] for _ in range(length)))
+            for _ in range(40)
+        ]
+    exhausted = 0
+    for s in inputs:
+        try:
+            w = find_big_product_one(s)
+        except WitnessSearchExhausted:
+            exhausted += 1
+            assert has_product_one(s, 6) is None
+            continue
+        assert has_product_one(s, 6) is not None
+        assert w.k == 6 and verify_witness(s, w) == (True, "ok")
+    assert exhausted == 4
 
 
 def test_find_big_product_one_rejections():
