@@ -22,6 +22,10 @@ in <y>) is a plain sum, since it has one member.
 Budgets count DP cells, n per (copies, x0 - x1, has-x) slot that a support
 entry's table fills: one per residue of Z_n in the slot's bitmask.  Exceeding
 one raises BudgetExceeded rather than truncating — exactness is the contract.
+The y-phase lanes are lists over copies 0..hi, so a query whose three lanes
+would hold more than the limit in cells raises before they are allocated:
+with at most n y-entries, the lanes then hold about one list slot per cell of
+the limit, even where the DP charges few cells.
 """
 
 from __future__ import annotations
@@ -175,6 +179,11 @@ class _SignClassDP:
             table = new
             self.xtables.append(table)
 
+        # each y-table is three lanes of hi + 1 slots: refuse before
+        # allocating lanes that hold more cells than the budget allows
+        cells = 3 * n * (hi + 1)
+        if budget.used + cells > budget.limit:
+            raise BudgetExceeded(budget.used + cells, budget.limit)
         zeros = [0] * (hi + 1)
         lane0 = list(zeros)
         even, odd = list(zeros), list(zeros)

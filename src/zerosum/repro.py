@@ -179,31 +179,41 @@ def crit_lower_direction(seed: int = DEFAULT_SEED, per_group: int = 24) -> Crite
     )
 
 
-def _upper_trial(args) -> tuple[bool, str]:
-    seed, adversarial = args
-    rng = random.Random(seed)
-    els = G30.elements()
-    if adversarial:
-        t2 = rng.randrange(15)
-        t1 = next(t for t in itertools.count(t2 + 1) if math.gcd(t - t2, 15) == 1) % 15
-        terms = (
-            [Element(0, t1)] * 29 + [Element(0, t2)] * 14 + [Element(1, rng.randrange(15))]
-        )
-        for _ in range(rng.randrange(1, 5)):
-            terms[rng.randrange(len(terms))] = els[rng.randrange(len(els))]
-        terms.append(els[rng.randrange(len(els))])
-    else:
-        terms = [els[rng.randrange(len(els))] for _ in range(45)]
-    s = Sequence.from_terms(G30, terms)
+def _length_9n2_sequence(g: GroupSpec, n2: int, rng: random.Random, near_template: bool) -> Sequence:
+    """A seeded length-9*n2 input: uniform, or a free template of length
+    9*n2 - 1 with 1-4 terms overwritten and one term appended."""
+    n = g.n
+    els = g.elements()
+    if not near_template:
+        return Sequence.from_terms(g, [els[rng.randrange(len(els))] for _ in range(9 * n2)])
+    t2 = rng.randrange(n)
+    t1 = next(t for t in itertools.count(t2 + 1) if math.gcd(t - t2, n) == 1) % n
+    terms = (
+        [Element(0, t1)] * (6 * n2 - 1) + [Element(0, t2)] * (3 * n2 - 1)
+        + [Element(1, rng.randrange(n))]
+    )
+    for _ in range(rng.randrange(1, 5)):
+        terms[rng.randrange(len(terms))] = els[rng.randrange(len(els))]
+    terms.append(els[rng.randrange(len(els))])
+    return Sequence.from_terms(g, terms)
+
+
+def _witness_outcome(s: Sequence, k: int) -> tuple[bool, str]:
+    """(True, rung) for a verified length-k witness, else (False, reason)."""
     trace: list[str] = []
     try:
         w = find_big_product_one(s, trace=trace)
     except Exception as exc:  # noqa: BLE001 - tallied, not hidden
         return False, type(exc).__name__
     ok, reason = verify_witness(s, w)
-    if not ok or w.k != 30:
+    if not ok or w.k != k:
         return False, reason
     return True, trace_rung(trace)
+
+
+def _upper_trial(args) -> tuple[bool, str]:
+    seed, adversarial = args
+    return _witness_outcome(_length_9n2_sequence(G30, 5, random.Random(seed), adversarial), 30)
 
 
 def _rung_tally(results: list[tuple[bool, str]]) -> str:
@@ -238,19 +248,9 @@ def _inverse_trial(seed: int) -> tuple[bool, str]:
         s = Sequence.from_terms(G30, (els[rng.randrange(len(els))] for _ in range(44)))
         if check_template(s) is None:
             break
-    trace: list[str] = []
-    try:
-        w = find_big_product_one(s, trace=trace)
-    except WitnessSearchExhausted:
-        # a free non-template sequence at this length would be a brand-new
-        # extremal shape; surface it loudly
-        return False, "free-non-template"
-    except Exception as exc:  # noqa: BLE001
-        return False, type(exc).__name__
-    ok, reason = verify_witness(s, w)
-    if not ok or w.k != 30:
-        return False, reason
-    return True, trace_rung(trace)
+    # WitnessSearchExhausted here would be a free non-template sequence, a
+    # brand-new extremal shape: it counts as a failure
+    return _witness_outcome(s, 30)
 
 
 def crit_inverse_sampled(seed: int = DEFAULT_SEED, trials: int = 1000, jobs: int = 1) -> CriterionResult:
@@ -261,6 +261,63 @@ def crit_inverse_sampled(seed: int = DEFAULT_SEED, trials: int = 1000, jobs: int
         "inverse-sampled",
         not failures,
         "every non-template length-(9n2-1) sample yields a verified 6n2-witness",
+        rows,
+    )
+
+
+# -- the 9*n2 theorem on wider groups -----------------------------------------------------
+
+WIDE_GROUPS = ((mk_metacyclic(33, 23), 11), (mk_metacyclic(39, 14), 13), (mk_metacyclic(75, 26), 25))
+WIDE_KINDS = ("uniform", "near-template", "template")
+
+
+def _wide_trial(args) -> tuple[bool, str]:
+    """One (group index, kind, seed) trial: a verified 6*n2-witness on a
+    length-9*n2 input, or WitnessSearchExhausted on a free length-(9*n2-1)
+    template."""
+    gi, kind, seed = args
+    g, n2 = WIDE_GROUPS[gi]
+    rng = random.Random(seed)
+    if kind != "template":
+        return _witness_outcome(_length_9n2_sequence(g, n2, rng, kind == "near-template"), 6 * n2)
+    t2 = rng.randrange(g.n)
+    t1 = rng.choice([t for t in range(g.n) if math.gcd(t - t2, g.n) == 1])
+    s = _template_sequence(g, n2, t1, t2, rng.randrange(g.n))
+    try:
+        find_big_product_one(s)
+    except WitnessSearchExhausted:
+        return True, "exhausted"
+    except Exception as exc:  # noqa: BLE001 - tallied, not hidden
+        return False, type(exc).__name__
+    return False, "witness-on-free-template"
+
+
+def crit_main_theorem_wide(
+    seed: int = DEFAULT_SEED, trials: int = 200, templates: int = 50, jobs: int = 1
+) -> CriterionResult:
+    counts = {"uniform": trials, "near-template": trials, "template": templates}
+    args = [
+        (gi, kind) for gi in range(len(WIDE_GROUPS)) for kind in WIDE_KINDS for _ in range(counts[kind])
+    ]
+    results = _parallel_map(
+        _wide_trial, [(gi, kind, seed * 11_000_027 + i) for i, (gi, kind) in enumerate(args)], jobs
+    )
+    rows = []
+    failed = 0
+    for gi, (g, _) in enumerate(WIDE_GROUPS):
+        mine = [(kind, r) for (gj, kind), r in zip(args, results) if gj == gi]
+        failures = sum(not okflag for _, (okflag, _) in mine)
+        exhausted = sum(okflag for kind, (okflag, _) in mine if kind == "template")
+        failed += failures
+        rows.append(
+            f"wide group=\"{format_group(g)}\" uniform={trials} near_template={trials} "
+            f"templates={templates} failures={failures} exhausted={exhausted} "
+            + _rung_tally([r for kind, r in mine if kind != "template"])
+        )
+    return CriterionResult(
+        "main-theorem-wide",
+        failed == 0,
+        "verified 6n2-witnesses on length-9n2 samples and exhausted free templates over G66, G78, G150",
         rows,
     )
 
@@ -399,6 +456,8 @@ def run_suite(name: str, seed: int = DEFAULT_SEED, jobs: int = 1) -> list[Criter
             crit_inverse_sampled(seed, jobs=jobs),
             crit_structure(seed),
         ]
+    if name == "main-theorem-wide":
+        return [crit_main_theorem_wide(seed, jobs=jobs)]
     if name == "dgm":
         return [crit_dgm(seed, jobs=jobs), crit_oracle(seed, jobs=jobs)]
     if name == "all":
@@ -406,7 +465,7 @@ def run_suite(name: str, seed: int = DEFAULT_SEED, jobs: int = 1) -> list[Criter
         for part in ("cyclic", "d6", "main-theorem", "dgm"):
             out.extend(run_suite(part, seed, jobs))
         return out
-    raise ValueError(f"unknown suite {name!r} (choose cyclic, d6, main-theorem, dgm, all)")
+    raise ValueError(f"unknown suite {name!r} (choose {', '.join(SUITE_NAMES)})")
 
 
-SUITE_NAMES = ("cyclic", "d6", "main-theorem", "dgm", "all")
+SUITE_NAMES = ("cyclic", "d6", "main-theorem", "main-theorem-wide", "dgm", "all")

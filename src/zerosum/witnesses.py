@@ -8,9 +8,10 @@ verified path:
 1. exact subset-sum DP on the <y>-part (complete whenever at most one term
    lies outside <y>, and cheap to try always);
 2. one block pass: pull eight length-m blocks whose C_m-component sums
-   vanish, building each block's product DP once, then search the
-   compositions of six whole blocks, with products chosen from each block's
-   product set, for one that closes over the order-6 kernel;
+   vanish, building each block's product DP once, then search depth-first,
+   over (used blocks, running product) states with dead states recorded, for
+   the first composition of six whole blocks, with products chosen from each
+   block's product set, that closes over the order-6 kernel;
 3. the exact sign-class DP on the whole sequence, which is complete.
 
 Every rung returns only witnesses that pass the independent verifier, and a
@@ -100,20 +101,19 @@ def _pick_subset(
     Deterministic: the DP resolves class counts, then concrete terms are
     assigned in canonical element order.
     """
-    classes: dict[int, int] = {}
+    pools: dict[int, list[tuple[Element, int]]] = {}
     for el, cnt in seq.counts:
-        c = class_of(el)
-        classes[c] = classes.get(c, 0) + cnt
-    pairs = sorted(classes.items())
-    dp = _SignClassDP([(False, cls, cnt) for cls, cnt in pairs], m, 1, k, k, budget)
+        pools.setdefault(class_of(el), []).append((el, cnt))
+    pairs = sorted(pools.items())
+    entries = [(False, cls, sum(cnt for _, cnt in pool)) for cls, pool in pairs]
+    dp = _SignClassDP(entries, m, 1, k, k, budget)
     picks = dp.pick(k, 0, target % m)
     if picks is None:
         return None
     picked: dict[Element, int] = {}
-    for (cls, _), (copies, _) in zip(pairs, picks):
+    for (_, pool), (copies, _) in zip(pairs, picks):
         if not copies:
             continue
-        pool = [(el, cnt) for el, cnt in seq.counts if class_of(el) == cls]
         left = copies
         for el, cnt in pool:
             take = min(cnt, left)
@@ -403,49 +403,44 @@ def trace_rung(trace: list[str]) -> str:
 def _stage_whole_blocks(d, fam, tr):
     """Order six whole blocks, products chosen freely from each pi(T).
 
-    A breadth-first search over (used-block mask, product index) on the Cayley
-    table; each block's products are visited in index order, which is the
-    canonical element order since index = eps*n + a.
+    A depth-first search over (used-block mask, product index) on the Cayley
+    table that tries blocks in index order and each block's products in index
+    order, which is the canonical element order since index = eps*n + a.  It
+    returns the lexicographically first closing sequence of (block, product)
+    pairs; a state that failed once is recorded dead and never expanded again.
     """
     g = fam.group
     table = mul_table(g)
     sets = [sorted(g.element_index(el) for el in ps) for ps in d.products]
     ident = g.element_index(g.identity)
-    start = (0, ident)
-    parents = {start: None}
-    frontier = [start]
-    for level in range(6):
-        nxt = []
-        for state in frontier:
-            mask, prod = state
-            row = table[prod]
-            for i, sigmas in enumerate(sets):
-                if mask >> i & 1:
-                    continue
-                bit = mask | 1 << i
-                for sigma in sigmas:
-                    nst = (bit, row[sigma])
-                    if nst not in parents:
-                        parents[nst] = (state, i, sigma)
-                        nxt.append(nst)
-                        if level == 5 and nst[1] == ident:
-                            return _assemble_whole(g, parents, nst, d.arrangers, tr)
-        frontier = nxt
-    tr(step="whole-blocks", hit="none")
-    return None
-
-
-def _assemble_whole(g, parents, state, arrangers, tr):
+    dead = set()
     path = []
-    cur = state
-    while parents[cur] is not None:
-        prev, i, sigma = parents[cur]
-        path.append((i, g.element_at(sigma)))
-        cur = prev
-    path.reverse()
+
+    def close(mask, prod):
+        row = table[prod]
+        last = len(path) == 5
+        for i, sigmas in enumerate(sets):
+            if mask >> i & 1:
+                continue
+            bit = mask | 1 << i
+            for sigma in sigmas:
+                nxt = row[sigma]
+                # the sixth block must close; earlier ones skip dead states
+                if (nxt != ident) if last else ((bit, nxt) in dead):
+                    continue
+                path.append((i, sigma))
+                if last or close(bit, nxt):
+                    return True
+                path.pop()
+        dead.add((mask, prod))
+        return False
+
+    if not close(0, ident):
+        tr(step="whole-blocks", hit="none")
+        return None
     elements = []
     for i, sigma in path:
-        elements.extend(arrangers[i](sigma))
+        elements.extend(d.arrangers[i](g.element_at(sigma)))
     tr(step="whole-blocks", blocks=",".join(str(i) for i, _ in path))
     return ProductWitness(tuple(elements), g.identity)
 

@@ -283,6 +283,15 @@ def test_budget_contract(monkeypatch):
         has_product_one(s, 3)
 
 
+def test_lane_allocation_is_budgeted():
+    # lo = hi prunes the cells the y-phase charges, not the hi + 1-slot lanes
+    # it allocates: the lanes alone must fit the budget
+    s = Sequence.from_counts(G30, {Element(0, 1): 10**6, Element(0, 2): 10**6, Element(1, 3): 1})
+    with pytest.raises(BudgetExceeded) as info:
+        pi_set(s, budget=1000)
+    assert info.value.limit == 1000 and info.value.used > 3 * 15 * 2 * 10**6
+
+
 def _law(g, u, v):
     # x^e1 y^a1 * x^e2 y^a2 = x^(e1+e2) y^(a1*s^e2 + a2), written out apart from GroupSpec.mul
     return Element(u.eps ^ v.eps, (u.a * (g.s if v.eps else 1) + v.a) % g.n)

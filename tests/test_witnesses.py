@@ -10,11 +10,12 @@ from zerosum.groups import (
     factorize,
     mk_cyclic,
     mk_metacyclic,
+    mul_table,
     subgroup_generated,
 )
 from zerosum.sequences import Sequence, canonical_key
-from zerosum.products import has_product_one, pi_set, verify_witness
-from zerosum.repro import _upper_trial
+from zerosum.products import ProductWitness, has_product_one, pi_set, verify_witness
+from zerosum.repro import _length_9n2_sequence, _upper_trial
 from zerosum.witnesses import (
     WitnessSearchExhausted,
     egz_extract,
@@ -283,6 +284,74 @@ def test_failed_whole_blocks_falls_to_kernel(monkeypatch):
     assert trace_rung(trace) == "direct"
     assert w.k == 30
     assert verify_witness(s, w) == (True, "ok")
+
+
+def _whole_blocks_bfs(d, fam, tr):
+    """The breadth-first (used-block mask, product) search the depth-first
+    one replaced: it expands every reachable state of levels 0-5, records
+    the first parent of each state, and stops at the first closing state."""
+    g = fam.group
+    table = mul_table(g)
+    sets = [sorted(g.element_index(el) for el in ps) for ps in d.products]
+    ident = g.element_index(g.identity)
+    start = (0, ident)
+    parents = {start: None}
+    frontier = [start]
+    for level in range(6):
+        nxt = []
+        for state in frontier:
+            mask, prod = state
+            row = table[prod]
+            for i, sigmas in enumerate(sets):
+                if mask >> i & 1:
+                    continue
+                bit = mask | 1 << i
+                for sigma in sigmas:
+                    nst = (bit, row[sigma])
+                    if nst in parents:
+                        continue
+                    parents[nst] = (state, i, sigma)
+                    nxt.append(nst)
+                    if level == 5 and nst[1] == ident:
+                        path = []
+                        while parents[nst] is not None:
+                            nst, i, sigma = parents[nst]
+                            path.append((i, g.element_at(sigma)))
+                        path.reverse()
+                        elements = [el for i, sigma in path for el in d.arrangers[i](sigma)]
+                        tr(step="whole-blocks", blocks=",".join(str(i) for i, _ in path))
+                        return ProductWitness(tuple(elements), g.identity)
+        frontier = nxt
+    tr(step="whole-blocks", hit="none")
+    return None
+
+
+def test_whole_blocks_matches_bfs_oracle():
+    # the depth-first search returns the lexicographically first closing
+    # (block, product) sequence, which is the one the breadth-first search
+    # reaches first: same hit or none, same witness, same blocks= field
+    # the adversarial input of `_upper_trial((84000155, True))`: no closing composition
+    inputs = [(G30, 5, _length_9n2_sequence(G30, 5, random.Random(84000155), True))]
+    rng = random.Random(10)
+    for g, n2, count in ((G30, 5, 40), (G42, 7, 30), (mk_metacyclic(33, 23), 11, 15)):
+        for near_template in (False, True):
+            inputs += [(g, n2, _length_9n2_sequence(g, n2, rng, near_template)) for _ in range(count)]
+    hits = misses = 0
+    for g, n2, s in inputs:
+        fam = family_context(g)
+        d = extract_product_h_blocks(s, fam.kernel, 8)
+        got, want = [], []
+        w = witnesses._stage_whole_blocks(d, fam, lambda **kv: got.append(kv))
+        expect = _whole_blocks_bfs(d, fam, lambda **kv: want.append(kv))
+        assert got == want
+        assert w == expect
+        if w is None:
+            misses += 1
+            continue
+        hits += 1
+        assert w.k == 6 * n2
+        assert verify_witness(s, w, g.identity) == (True, "ok")
+    assert misses >= 1 and hits > misses
 
 
 def test_find_big_product_one_d6():
