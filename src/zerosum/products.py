@@ -181,8 +181,9 @@ class _SignClassDP:
 
         # each y-table is three lanes of hi + 1 slots: refuse before
         # allocating lanes that hold more cells than the budget allows
+        # (single-slot lanes, hi = 0, are never more than the budget charges)
         cells = 3 * n * (hi + 1)
-        if budget.used + cells > budget.limit:
+        if hi and budget.used + cells > budget.limit:
             raise BudgetExceeded(budget.used + cells, budget.limit)
         zeros = [0] * (hi + 1)
         lane0 = list(zeros)

@@ -8,7 +8,6 @@ by index so results are independent of worker scheduling under --jobs.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from concurrent.futures import ProcessPoolExecutor
@@ -187,7 +186,7 @@ def _length_9n2_sequence(g: GroupSpec, n2: int, rng: random.Random, near_templat
     if not near_template:
         return Sequence.from_terms(g, [els[rng.randrange(len(els))] for _ in range(9 * n2)])
     t2 = rng.randrange(n)
-    t1 = next(t for t in itertools.count(t2 + 1) if math.gcd(t - t2, n) == 1) % n
+    t1 = (t2 + 1) % n  # gcd(t1 - t2, n) = gcd(1, n) = 1 keeps the template free
     terms = (
         [Element(0, t1)] * (6 * n2 - 1) + [Element(0, t2)] * (3 * n2 - 1)
         + [Element(1, rng.randrange(n))]
@@ -269,6 +268,8 @@ def crit_inverse_sampled(seed: int = DEFAULT_SEED, trials: int = 1000, jobs: int
 
 WIDE_GROUPS = ((mk_metacyclic(33, 23), 11), (mk_metacyclic(39, 14), 13), (mk_metacyclic(75, 26), 25))
 WIDE_KINDS = ("uniform", "near-template", "template")
+WIDE_TRIALS = 200  # uniform and near-template inputs per group
+WIDE_TEMPLATES = 50  # free templates per group
 
 
 def _wide_trial(args) -> tuple[bool, str]:
@@ -292,10 +293,8 @@ def _wide_trial(args) -> tuple[bool, str]:
     return False, "witness-on-free-template"
 
 
-def crit_main_theorem_wide(
-    seed: int = DEFAULT_SEED, trials: int = 200, templates: int = 50, jobs: int = 1
-) -> CriterionResult:
-    counts = {"uniform": trials, "near-template": trials, "template": templates}
+def crit_main_theorem_wide(seed: int = DEFAULT_SEED, jobs: int = 1) -> CriterionResult:
+    counts = {"uniform": WIDE_TRIALS, "near-template": WIDE_TRIALS, "template": WIDE_TEMPLATES}
     args = [
         (gi, kind) for gi in range(len(WIDE_GROUPS)) for kind in WIDE_KINDS for _ in range(counts[kind])
     ]
@@ -310,8 +309,8 @@ def crit_main_theorem_wide(
         exhausted = sum(okflag for kind, (okflag, _) in mine if kind == "template")
         failed += failures
         rows.append(
-            f"wide group=\"{format_group(g)}\" uniform={trials} near_template={trials} "
-            f"templates={templates} failures={failures} exhausted={exhausted} "
+            f"wide group=\"{format_group(g)}\" uniform={WIDE_TRIALS} near_template={WIDE_TRIALS} "
+            f"templates={WIDE_TEMPLATES} failures={failures} exhausted={exhausted} "
             + _rung_tally([r for kind, r in mine if kind != "template"])
         )
     return CriterionResult(

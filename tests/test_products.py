@@ -290,6 +290,10 @@ def test_lane_allocation_is_budgeted():
     with pytest.raises(BudgetExceeded) as info:
         pi_set(s, budget=1000)
     assert info.value.limit == 1000 and info.value.used > 3 * 15 * 2 * 10**6
+    # single-slot lanes (hi = 0) skip the check: the empty sequence still spends nothing
+    empty = Sequence.from_terms(G30, [])
+    assert subproducts(empty, 0, budget=0).members == {G30.identity}
+    assert pi_set(empty, budget=0) == {G30.identity}
 
 
 def _law(g, u, v):
