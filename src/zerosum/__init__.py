@@ -39,7 +39,6 @@ from .witnesses import (
     extract_product_h_blocks,
     find_big_product_one,
     improve_x_coverage,
-    replay_swap_argument,
     singleton_pi_structure,
 )
 
@@ -56,5 +55,5 @@ __all__ = [
     "davenport_constant", "gao_constant",
     "Decomposition", "WitnessSearchExhausted", "egz_extract",
     "extract_product_h_blocks", "find_big_product_one", "improve_x_coverage",
-    "replay_swap_argument", "singleton_pi_structure",
+    "singleton_pi_structure",
 ]

@@ -158,12 +158,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gao", help="exact Gao constant by growing free sequences level by level")
     _add_common(p, group=True)
-    p.add_argument("--cap", type=int, default=None, help="maximum length to scan")
     p.set_defaults(run=functools.partial(_cmd_constant, gao_constant))
 
     p = sub.add_parser("davenport", help="exact small Davenport constant")
     _add_common(p, group=True)
-    p.add_argument("--cap", type=int, default=None)
     p.set_defaults(run=functools.partial(_cmd_constant, davenport_constant))
 
     p = sub.add_parser("classify", help="classify k-product-one-free sequences of a length")
@@ -182,7 +180,7 @@ def build_parser() -> _Parser:
     p.add_argument("--group", default=None, help="optional group literal cross-check")
     p.add_argument("--n", type=int, help="subproduct length (single check)")
     p.add_argument("--fuzz", action="store_true")
-    p.add_argument("--trials", type=int, default=10_000)
+    p.add_argument("--trials", type=int, default=repro.DGM_TRIALS)
     p.add_argument("--max-order", type=int, default=30)
     p.add_argument("--max-len", type=int, default=20)
     p.add_argument("--seed", type=int, default=repro.DEFAULT_SEED)
@@ -296,7 +294,7 @@ def _cmd_verify(args, out: _Out) -> int:
 
 def _cmd_constant(fn, args, out: _Out) -> int:
     g = parse_group(args.group)
-    rep = fn(g, args.cap, budget=_budget(args))
+    rep = fn(g, budget=_budget(args))
     out.emit(
         f"{args.cmd} constant of {format_group(g)} = {rep.value} "
         f"({len(rep.certificates)} extremal orbit(s))",

@@ -184,40 +184,19 @@ def enumerate_free(
     return [_counts_sequence(g, c) for c in found]
 
 
-def _longest_free(
-    g: GroupSpec, k: int | None, length_cap: int | None, ceiling: int, budget: int | None
-) -> tuple[Sequence, ...]:
-    """The free orbits of the greatest free length, which must be below length_cap."""
-    if length_cap is not None and length_cap < 0:
-        raise ValueError(f"length cap {length_cap} is negative")
-    certs = tuple(enumerate_free(g, None, k, ceiling=ceiling, budget=budget))
-    if length_cap is not None and certs[0].length >= length_cap:
-        cap = length_cap
-        raise InfeasibleSize(math.comb(cap + g.order, g.order - 1) if g.order > 1 else cap, ceiling)
-    return certs
-
-
 def gao_constant(
-    g: GroupSpec,
-    length_cap: int | None = None,
-    *,
-    ceiling: int = DEFAULT_CEILING,
-    budget: int | None = None,
+    g: GroupSpec, *, ceiling: int = DEFAULT_CEILING, budget: int | None = None
 ) -> ConstantReport:
     """Exact E(G): least length forcing a |G|-product-one subsequence."""
-    certs = _longest_free(g, g.order, length_cap, ceiling, budget)
+    certs = tuple(enumerate_free(g, None, g.order, ceiling=ceiling, budget=budget))
     return ConstantReport(group=g, constant="gao", value=certs[0].length + 1, certificates=certs)
 
 
 def davenport_constant(
-    g: GroupSpec,
-    length_cap: int | None = None,
-    *,
-    ceiling: int = DEFAULT_CEILING,
-    budget: int | None = None,
+    g: GroupSpec, *, ceiling: int = DEFAULT_CEILING, budget: int | None = None
 ) -> ConstantReport:
     """Exact small Davenport constant d(G): maximal product-one-free length."""
-    certs = _longest_free(g, None, length_cap, ceiling, budget)
+    certs = tuple(enumerate_free(g, None, None, ceiling=ceiling, budget=budget))
     return ConstantReport(group=g, constant="davenport", value=certs[0].length, certificates=certs)
 
 

@@ -41,6 +41,17 @@ G30 = mk_metacyclic(15, 11)
 G42 = mk_metacyclic(21, 8)  # n2 = 7: s = -1 (mod 3), s = +1 (mod 7)
 DEFAULT_SEED = 42
 
+# criterion sizes; each criterion prints its size on its row
+LOWER_PER_GROUP = 24  # free and witnessed templates per group
+UPPER_TRIALS = 1000  # uniform length-9n2 inputs
+UPPER_ADVERSARIAL = 100  # near-template length-9n2 inputs
+INVERSE_TRIALS = 1000
+STRUCTURE_TRIALS = 1000
+DGM_TRIALS = 10_000
+ORACLE_TRIALS = 1000
+WIDE_TRIALS = 200  # uniform and near-template inputs per group
+WIDE_TEMPLATES = 50  # free templates per group
+
 
 @dataclass
 class CriterionResult:
@@ -142,19 +153,19 @@ def _template_sequence(g: GroupSpec, n2: int, t1: int, t2: int, t3: int) -> Sequ
     )
 
 
-def crit_lower_direction(seed: int = DEFAULT_SEED, per_group: int = 24) -> CriterionResult:
+def crit_lower_direction(seed: int = DEFAULT_SEED) -> CriterionResult:
     rng = random.Random(seed)
     ok = True
     rows = []
     for g, n2 in ((G30, 5), (G42, 7)):
         n = g.n
         free_params, busy_params = [], []
-        while len(free_params) < per_group or len(busy_params) < per_group:
+        while len(free_params) < LOWER_PER_GROUP or len(busy_params) < LOWER_PER_GROUP:
             t1, t2, t3 = rng.randrange(n), rng.randrange(n), rng.randrange(n)
             d = math.gcd(t1 - t2, n)
-            if d == 1 and len(free_params) < per_group:
+            if d == 1 and len(free_params) < LOWER_PER_GROUP:
                 free_params.append((t1, t2, t3))
-            elif d > 1 and len(busy_params) < per_group:
+            elif d > 1 and len(busy_params) < LOWER_PER_GROUP:
                 busy_params.append((t1, t2, t3))
         free_ok = 0
         for t1, t2, t3 in free_params:
@@ -167,11 +178,11 @@ def crit_lower_direction(seed: int = DEFAULT_SEED, per_group: int = 24) -> Crite
             w = has_product_one(s, 6 * n2)
             if w is not None and verify_witness(s, w)[0]:
                 busy_ok += 1
-        good = free_ok == per_group and busy_ok == per_group
+        good = free_ok == LOWER_PER_GROUP and busy_ok == LOWER_PER_GROUP
         ok &= good
         rows.append(
-            f"lower group=\"{format_group(g)}\" free_confirmed={free_ok}/{per_group} "
-            f"witnessed={busy_ok}/{per_group}"
+            f"lower group=\"{format_group(g)}\" free_confirmed={free_ok}/{LOWER_PER_GROUP} "
+            f"witnessed={busy_ok}/{LOWER_PER_GROUP}"
         )
     return CriterionResult(
         "lower-direction", ok, "template sequences are 6n2-product-one free iff gcd(t1-t2,3n2)=1", rows
@@ -224,18 +235,19 @@ def _rung_tally(results: list[tuple[bool, str]]) -> str:
     return " ".join(f"rung_{k.replace('-', '_')}={v}" for k, v in sorted(rungs.items()))
 
 
-def crit_upper_sampled(
-    seed: int = DEFAULT_SEED, trials: int = 1000, adversarial: int = 100, jobs: int = 1
-) -> CriterionResult:
-    args = [(seed * 1_000_003 + i, False) for i in range(trials)]
-    args += [(seed * 2_000_003 + i, True) for i in range(adversarial)]
+def crit_upper_sampled(seed: int = DEFAULT_SEED, jobs: int = 1) -> CriterionResult:
+    args = [(seed * 1_000_003 + i, False) for i in range(UPPER_TRIALS)]
+    args += [(seed * 2_000_003 + i, True) for i in range(UPPER_ADVERSARIAL)]
     results = _parallel_map(_upper_trial, args, jobs)
     failures = [r for r in results if not r[0]]
-    rows = [f"upper trials={trials} adversarial={adversarial} failures={len(failures)} " + _rung_tally(results)]
+    rows = [
+        f"upper trials={UPPER_TRIALS} adversarial={UPPER_ADVERSARIAL} failures={len(failures)} "
+        + _rung_tally(results)
+    ]
     return CriterionResult(
         "upper-sampled",
         not failures,
-        f"verified 6n2-witness on all {trials}+{adversarial} seeded length-9n2 samples",
+        f"verified 6n2-witness on all {UPPER_TRIALS}+{UPPER_ADVERSARIAL} seeded length-9n2 samples",
         rows,
     )
 
@@ -252,10 +264,10 @@ def _inverse_trial(seed: int) -> tuple[bool, str]:
     return _witness_outcome(s, 30)
 
 
-def crit_inverse_sampled(seed: int = DEFAULT_SEED, trials: int = 1000, jobs: int = 1) -> CriterionResult:
-    results = _parallel_map(_inverse_trial, [seed * 3_000_017 + i for i in range(trials)], jobs)
+def crit_inverse_sampled(seed: int = DEFAULT_SEED, jobs: int = 1) -> CriterionResult:
+    results = _parallel_map(_inverse_trial, [seed * 3_000_017 + i for i in range(INVERSE_TRIALS)], jobs)
     failures = [label for okflag, label in results if not okflag]
-    rows = [f"inverse-sampled trials={trials} failures={len(failures)} " + _rung_tally(results)]
+    rows = [f"inverse-sampled trials={INVERSE_TRIALS} failures={len(failures)} " + _rung_tally(results)]
     return CriterionResult(
         "inverse-sampled",
         not failures,
@@ -268,8 +280,6 @@ def crit_inverse_sampled(seed: int = DEFAULT_SEED, trials: int = 1000, jobs: int
 
 WIDE_GROUPS = ((mk_metacyclic(33, 23), 11), (mk_metacyclic(39, 14), 13), (mk_metacyclic(75, 26), 25))
 WIDE_KINDS = ("uniform", "near-template", "template")
-WIDE_TRIALS = 200  # uniform and near-template inputs per group
-WIDE_TEMPLATES = 50  # free templates per group
 
 
 def _wide_trial(args) -> tuple[bool, str]:
@@ -343,18 +353,18 @@ def _structure_instance(rng: random.Random) -> tuple[Sequence, int]:
     raise AssertionError("mod-n2 adjustment must land within n2 tries")
 
 
-def crit_structure(seed: int = DEFAULT_SEED, trials: int = 1000) -> CriterionResult:
+def crit_structure(seed: int = DEFAULT_SEED) -> CriterionResult:
     rng = random.Random(seed)
     bad = 0
     per_clause = {1: 0, 2: 0}
-    for _ in range(trials):
+    for _ in range(STRUCTURE_TRIALS):
         seq, clause = _structure_instance(rng)
         report = singleton_pi_structure(seq)
         if report.clause != clause or not report.holds:
             bad += 1
         else:
             per_clause[clause] += 1
-    rows = [f"structure trials={trials} clause1={per_clause[1]} clause2={per_clause[2]} failures={bad}"]
+    rows = [f"structure trials={STRUCTURE_TRIALS} clause1={per_clause[1]} clause2={per_clause[2]} failures={bad}"]
     return CriterionResult(
         "singleton-structure", bad == 0, "coset-clause conclusions hold on all constructed singleton-pi inputs", rows
     )
@@ -382,10 +392,10 @@ def _dgm_seeds(seed: int, trials: int) -> list[int]:
     return [seed * 5_000_011 + i for i in range(trials)]
 
 
-def crit_dgm(seed: int = DEFAULT_SEED, trials: int = 10_000, jobs: int = 1) -> CriterionResult:
-    results = _parallel_map(_dgm_trial, _dgm_seeds(seed, trials), jobs)
+def crit_dgm(seed: int = DEFAULT_SEED, jobs: int = 1) -> CriterionResult:
+    results = _parallel_map(_dgm_trial, _dgm_seeds(seed, DGM_TRIALS), jobs)
     violations = sum(r is not None for r in results)
-    rows = [f"dgm-fuzz trials={trials} violations={violations}"]
+    rows = [f"dgm-fuzz trials={DGM_TRIALS} violations={violations}"]
     return CriterionResult(
         "dgm-bound", violations == 0, "subproduct lower bound holds on all seeded abelian instances", rows
     )
@@ -431,10 +441,10 @@ def _arrangement_products(g: GroupSpec, terms: list[Element], n: int) -> set[Ele
     return out
 
 
-def crit_oracle(seed: int = DEFAULT_SEED, trials: int = 1000, jobs: int = 1) -> CriterionResult:
-    results = _parallel_map(_oracle_trial, [seed * 7_000_003 + i for i in range(trials)], jobs)
+def crit_oracle(seed: int = DEFAULT_SEED, jobs: int = 1) -> CriterionResult:
+    results = _parallel_map(_oracle_trial, [seed * 7_000_003 + i for i in range(ORACLE_TRIALS)], jobs)
     bad = results.count(False)
-    rows = [f"oracle trials={trials} mismatches={bad}"]
+    rows = [f"oracle trials={ORACLE_TRIALS} mismatches={bad}"]
     return CriterionResult(
         "oracle-equivalence", bad == 0, "subproducts matches the factorial-enumeration oracle", rows
     )

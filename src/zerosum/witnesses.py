@@ -16,12 +16,15 @@ verified path:
 
 Every rung returns only witnesses that pass the independent verifier, and a
 trace records which rung produced each one.
+
+Beside the path sit `egz_extract`, the block decompositions of rung 2
+(`improve_x_coverage`, a greedy x-coverage heuristic, is not on the path)
+and `singleton_pi_structure`, the coset-case check for singleton pi(S).
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -34,7 +37,7 @@ from .groups import (
     factorize,
     mul_table,
 )
-from .sequences import Sequence, canonical_key
+from .sequences import Sequence
 from .products import (
     ProductWitness,
     _Budget,
@@ -151,15 +154,12 @@ class Decomposition:
     """A partition of part of a sequence into kernel-product blocks.
 
     Each block T satisfies pi(T) inside the kernel subgroup (its C_{n2}
-    component sums vanish); sigmas holds one chosen product per block, the
-    canonically smallest element of pi(T).  products and arrangers hold each
-    block's pi(T) and its arranger, from the one DP built per block.
+    component sums vanish).  products and arrangers hold each block's pi(T)
+    and its arranger, from the one DP built per block.
     """
 
     blocks: tuple[Sequence, ...]
     remainder: Sequence
-    kernel: Subgroup
-    sigmas: tuple[Element, ...]
     products: tuple[frozenset[Element], ...] = field(compare=False, repr=False)
     arrangers: tuple[Callable[[Element], tuple[Element, ...]], ...] = field(
         compare=False, repr=False
@@ -176,42 +176,35 @@ class Decomposition:
 
 
 def make_decomposition(
-    blocks: list[Sequence], remainder: Sequence, kernel: Subgroup, budget: int | None = None
+    blocks: list[Sequence], remainder: Sequence, budget: int | None = None
 ) -> Decomposition:
-    sigmas, products, arrangers = [], [], []
+    kernel = family_context(remainder.group).kernel
+    products, arrangers = [], []
     for b in blocks:
         pset, arrange = products_with_arranger(b, budget)
-        sigma = min(pset)
-        if sigma not in kernel:
+        if min(pset) not in kernel:
             raise ValueError(f"block {b} is not a product-{kernel.description} sequence")
-        sigmas.append(sigma)
         products.append(pset)
         arrangers.append(arrange)
-    return Decomposition(
-        tuple(blocks), remainder, kernel, tuple(sigmas), tuple(products), tuple(arrangers)
-    )
+    return Decomposition(tuple(blocks), remainder, tuple(products), tuple(arrangers))
 
 
-def extract_product_h_blocks(
-    seq: Sequence, kernel: Subgroup, count: int, *, budget: int | None = None
-) -> Decomposition:
-    """Pull `count` disjoint length-n2 blocks whose C_{n2} component sums vanish."""
+def extract_product_h_blocks(seq: Sequence, *, budget: int | None = None) -> Decomposition:
+    """Pull eight disjoint length-n2 blocks whose C_{n2} component sums vanish."""
     fam = family_context(seq.group)
-    if kernel.members != fam.kernel.members:
-        raise ValueError(f"kernel must be {fam.kernel.description}")
     n2 = fam.n2
-    need = count * n2 + (2 * n2 - 1) - n2
+    need = 9 * n2 - 1
     if seq.length < need:
-        raise ValueError(f"need length >= {need} to pull {count} blocks, got {seq.length}")
+        raise ValueError(f"need length >= {need} to pull 8 blocks, got {seq.length}")
     b = _Budget(budget)
     blocks = []
     remaining = seq
-    for _ in range(count):
+    for _ in range(8):
         block = _pick_subset(remaining, fam.component, n2, n2, 0, b)
         assert block is not None, "block extraction guarantee violated"
         blocks.append(block)
         remaining = remaining.remove(block)
-    return make_decomposition(blocks, remaining, fam.kernel, budget)
+    return make_decomposition(blocks, remaining, budget)
 
 
 def improve_x_coverage(d: Decomposition, budget: int | None = None) -> Decomposition:
@@ -219,7 +212,7 @@ def improve_x_coverage(d: Decomposition, budget: int | None = None) -> Decomposi
     kernel-product block) until no move raises the number of blocks holding an
     x-term.  A heuristic fixpoint, not a certified maximum; `d` itself when
     no swap applies."""
-    fam = family_context(d.blocks[0].group if d.blocks else d.remainder.group)
+    fam = family_context(d.remainder.group)
     blocks = list(d.blocks)
     remainder = d.remainder
     swapped, improved = False, True
@@ -243,7 +236,7 @@ def improve_x_coverage(d: Decomposition, budget: int | None = None) -> Decomposi
             break
     if not swapped:
         return d
-    return make_decomposition(blocks, remainder, d.kernel, budget)
+    return make_decomposition(blocks, remainder, budget)
 
 
 def _coverage_move(blocks, remainder, i, fam):
@@ -259,89 +252,6 @@ def _coverage_move(blocks, remainder, i, fam):
             for v, _ in other.counts:
                 if v.eps == 1 and fam.component(v) == cu:
                     return u, v, j
-    return None
-
-
-# -- the swap-argument replay -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SwapOutcome:
-    """Result of exploring re-decompositions by class-preserving term swaps."""
-
-    kind: str  # "selection" | "rigid"
-    blocks: tuple[Sequence, ...]
-    selection: tuple[int, ...] | None  # six block indices whose sigmas multiply to one
-    shape: tuple[int, int] | None  # (value with multiplicity 5, value with multiplicity 2)
-    explored: int
-
-
-def _c3_values(blocks: tuple[Sequence, ...], fam: FamilyContext) -> list[int] | None:
-    """Per-block value t with sigma(T) = y^(t*n2), or None if some block strays."""
-    n = fam.group.n
-    n2 = fam.n2
-    out = []
-    for b in blocks:
-        total = sum(el.a * m for el, m in b.counts) % n
-        if any(el.eps for el in b.support) or total % n2:
-            return None
-        out.append(total // n2)
-    return out
-
-
-def _selection_from_values(values: list[int]) -> tuple[int, ...] | None:
-    total = sum(values) % 3
-    for skip in range(len(values)):
-        if (total - values[skip]) % 3 == 0:
-            return tuple(i for i in range(len(values)) if i != skip)
-    return None
-
-
-def replay_swap_argument(d: Decomposition, swap_budget: int = 10_000) -> SwapOutcome:
-    """Search re-decompositions of seven <y>-blocks reachable by swapping terms
-    with equal C_{n2} class between blocks; report a six-block product-one
-    selection, or certify that everything explored has the rigid 5+2 shape."""
-    fam = family_context(d.blocks[0].group)
-    if len(d.blocks) != 7:
-        raise ValueError("the swap replay expects exactly seven blocks")
-    values = _c3_values(d.blocks, fam)
-    if values is None:
-        raise ValueError("blocks must lie in <y> with vanishing C_{n2} component")
-
-    seen = {tuple(sorted(map(canonical_key, d.blocks)))}
-    queue = [d.blocks]
-    explored = 0
-    first_shape = _rigid_shape(values)
-    while queue and explored < swap_budget:
-        blocks = queue.pop(0)
-        explored += 1
-        vals = _c3_values(blocks, fam)
-        sel = _selection_from_values(vals)
-        if sel is not None:
-            return SwapOutcome("selection", blocks, sel, None, explored)
-        assert _rigid_shape(vals) is not None, "no selection yet not 5+2 shaped"
-        for li, mi in itertools.combinations(range(7), 2):
-            for u, _ in blocks[li].counts:
-                for v, _ in blocks[mi].counts:
-                    if u == v or fam.component(u) != fam.component(v):
-                        continue
-                    nb = list(blocks)
-                    one_u = Sequence.from_counts(blocks[li].group, {u: 1})
-                    one_v = Sequence.from_counts(blocks[mi].group, {v: 1})
-                    nb[li] = blocks[li].remove(one_u).concat(one_v)
-                    nb[mi] = blocks[mi].remove(one_v).concat(one_u)
-                    key = tuple(sorted(map(canonical_key, nb)))
-                    if key not in seen:
-                        seen.add(key)
-                        queue.append(tuple(nb))
-    return SwapOutcome("rigid", d.blocks, None, first_shape, explored)
-
-
-def _rigid_shape(values: list[int]) -> tuple[int, int] | None:
-    counts = {t: values.count(t) for t in set(values)}
-    by = sorted(counts.items(), key=lambda kv: -kv[1])
-    if len(by) == 2 and by[0][1] == 5 and by[1][1] == 2:
-        return by[0][0], by[1][0]
     return None
 
 
@@ -380,7 +290,7 @@ def find_big_product_one(
             return done(w, "y-part")
         tr(step="y-part", hit="none")
 
-    d = extract_product_h_blocks(seq, fam.kernel, 8, budget=budget)
+    d = extract_product_h_blocks(seq, budget=budget)
     tr(step="extract", coverage=d.x_coverage())
     w = _stage_whole_blocks(d, fam, tr)
     if w is not None:

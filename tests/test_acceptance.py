@@ -50,38 +50,45 @@ def test_criterion_03_inverse_d6():
 
 def test_criterion_04_lower_direction():
     t0 = time.time()
-    r = repro.crit_lower_direction(SEED, per_group=24)
+    r = repro.crit_lower_direction(SEED)
     _report("criterion-4 lower-direction", r.passed, time.time() - t0, 600, "; ".join(r.lines))
+    assert len(r.lines) == 2
+    assert all(" free_confirmed=24/24 witnessed=24/24" in line for line in r.lines)
 
 
 def test_criterion_05_upper_sampled():
     t0 = time.time()
-    r = repro.crit_upper_sampled(SEED, trials=1000, adversarial=100)
+    r = repro.crit_upper_sampled(SEED)
     _report("criterion-5 upper-sampled", r.passed, time.time() - t0, 900, "; ".join(r.lines))
+    assert r.lines[0].startswith("upper trials=1000 adversarial=100 ")
 
 
 def test_criterion_06_inverse_sampled():
     t0 = time.time()
-    r = repro.crit_inverse_sampled(SEED, trials=1000)
+    r = repro.crit_inverse_sampled(SEED)
     _report("criterion-6 inverse-sampled", r.passed, time.time() - t0, 900, "; ".join(r.lines))
+    assert r.lines[0].startswith("inverse-sampled trials=1000 ")
 
 
 def test_criterion_07_dgm_bound():
     t0 = time.time()
-    r = repro.crit_dgm(SEED, trials=10_000)
+    r = repro.crit_dgm(SEED)
     _report("criterion-7 dgm-bound", r.passed, time.time() - t0, 600, "; ".join(r.lines))
+    assert r.lines[0].startswith("dgm-fuzz trials=10000 ")
 
 
 def test_criterion_08_oracle_equivalence():
     t0 = time.time()
-    r = repro.crit_oracle(SEED, trials=1000)
+    r = repro.crit_oracle(SEED)
     _report("criterion-8 oracle-equivalence", r.passed, time.time() - t0, 300, "; ".join(r.lines))
+    assert r.lines[0].startswith("oracle trials=1000 ")
 
 
 def test_criterion_09_singleton_structure():
     t0 = time.time()
-    r = repro.crit_structure(SEED, trials=1000)
+    r = repro.crit_structure(SEED)
     _report("criterion-9 singleton-structure", r.passed, time.time() - t0, 300, "; ".join(r.lines))
+    assert r.lines[0].startswith("structure trials=1000 ")
 
 
 def test_criterion_10_constant_identity():

@@ -137,11 +137,6 @@ def test_dgm_fuzz_bad_sizes_are_usage_errors(capsys, monkeypatch, flag, value):
     assert code == EXIT_USAGE and flag in err and out == ""
 
 
-def test_gao_negative_cap_is_usage_error(capsys):
-    code, out, err = run(capsys, "gao", "--group", "cyclic n=5", "--cap", "-3")
-    assert code == EXIT_USAGE and "-3" in err and out == ""
-
-
 def test_repro_bad_jobs_is_usage_error(capsys):
     code, out, err = run(capsys, "repro", "cyclic", "--jobs", "0")
     assert code == EXIT_USAGE and "--jobs" in err and out == ""

@@ -11,7 +11,6 @@ from zerosum.groups import (
     mk_cyclic,
     mk_metacyclic,
     mul_table,
-    subgroup_generated,
 )
 from zerosum.sequences import Sequence, canonical_key
 from zerosum.products import ProductWitness, has_product_one, pi_set, verify_witness
@@ -24,7 +23,6 @@ from zerosum.witnesses import (
     find_big_product_one,
     improve_x_coverage,
     make_decomposition,
-    replay_swap_argument,
     singleton_pi_structure,
     trace_rung,
 )
@@ -79,28 +77,29 @@ def test_extract_blocks_accounting():
     fam = family_context(G30)
     rng = random.Random(0)
     els = G30.elements()
-    s = Sequence.from_terms(G30, (els[rng.randrange(30)] for _ in range(44)))
-    d = extract_product_h_blocks(s, fam.kernel, 8)
+    terms = [els[rng.randrange(30)] for _ in range(44)]
+    s = Sequence.from_terms(G30, terms)
+    d = extract_product_h_blocks(s)
     assert len(d.blocks) == 8
     assert all(b.length == 5 for b in d.blocks)
     # conservation: blocks + remainder = source
     assert canonical_key(d.reassemble()) == canonical_key(s)
     # every block is a kernel-product block: its products stay inside the kernel
-    for b, sigma in zip(d.blocks, d.sigmas):
-        ps = pi_set(b)
-        assert sigma in ps
+    for b, ps in zip(d.blocks, d.products):
+        assert ps == pi_set(b)
         assert all(p in fam.kernel for p in ps)
-    with pytest.raises(ValueError):
-        extract_product_h_blocks(s, fam.kernel, 9)
-    # wrong kernel rejected
-    with pytest.raises(ValueError):
-        extract_product_h_blocks(s, subgroup_generated(G30, [Element(0, 3)]), 8)
+    # eight blocks need 9*n2 - 1 = 44 terms
+    with pytest.raises(ValueError, match="44"):
+        extract_product_h_blocks(Sequence.from_terms(G30, terms[:43]))
+    # a block whose products leave the kernel is rejected
+    with pytest.raises(ValueError, match="not a product"):
+        make_decomposition([Sequence.from_terms(G30, [y(1)] + [y(0)] * 4)], Sequence.empty(G30))
 
 
 def test_blocks_trivial_when_inside_kernel():
     fam = family_context(G30)
     s = Sequence.from_counts(G30, {Element(0, 5): 30, Element(1, 10): 14})
-    d = extract_product_h_blocks(s, fam.kernel, 8)
+    d = extract_product_h_blocks(s)
     assert all(all(fam.component(el) == 0 for el in b.support) for b in d.blocks)
 
 
@@ -110,8 +109,8 @@ def test_improve_x_coverage():
     s = Sequence.from_counts(
         G30, {Element(0, 0): 39, Element(1, 0): 2, Element(1, 5): 2, Element(0, 5): 1}
     )
-    d = extract_product_h_blocks(s, fam.kernel, 8)
-    base = make_decomposition([b for b in d.blocks], d.remainder, d.kernel)
+    d = extract_product_h_blocks(s)
+    base = make_decomposition(list(d.blocks), d.remainder)
     improved = improve_x_coverage(base)
     assert improved.x_coverage() >= base.x_coverage()
     assert improved.x_coverage() >= 2  # enough matching classes to spread both
@@ -122,71 +121,6 @@ def test_improve_x_coverage():
     # a fixpoint stays put, without rebuilding the decomposition
     again = improve_x_coverage(improved)
     assert again is improved
-
-
-def _pure_y_decomposition(values_per_block):
-    """Seven length-5 blocks over <y>, block i having component values given
-    as (t-class contributions via exponents 3*v picked to sum to t*5 mod 15)."""
-    fam = family_context(G30)
-    blocks = []
-    for t in values_per_block:
-        # five terms from <y^3>-classes summing to t*n2 (mod 15): use t*n2 once
-        # plus 0s: exponent t*5 has component t*5*w mod 5 = 0, class sum stays 0
-        terms = [Element(0, (t * 5) % 15)] + [Element(0, 0)] * 4
-        blocks.append(Sequence.from_terms(G30, terms))
-    return make_decomposition(blocks, Sequence.empty(G30), fam.kernel)
-
-
-def test_replay_swap_selection_immediate():
-    d = _pure_y_decomposition([0, 0, 0, 0, 0, 0, 1])
-    out = replay_swap_argument(d)
-    assert out.kind == "selection"
-    assert len(out.selection) == 6
-    # the selected sigmas multiply to one
-    total = sum(
-        sum(el.a * m for el, m in d.blocks[i].counts) for i in out.selection
-    ) % 15
-    assert total == 0
-
-
-def test_replay_swap_rigid():
-    # uniform blocks admit no class-preserving swaps at all: truly rigid.
-    # (y^a)^[5] always has vanishing C_5 component since 5a*w = 0 (mod 5).
-    fam = family_context(G30)
-    blocks = [Sequence.from_counts(G30, {y(1): 5}) for _ in range(5)]
-    blocks += [Sequence.from_counts(G30, {y(2): 5}) for _ in range(2)]
-    d = make_decomposition(blocks, Sequence.empty(G30), fam.kernel)
-    out = replay_swap_argument(d, swap_budget=50)
-    assert out.kind == "rigid"
-    assert out.shape == (2, 1) or out.shape == (1, 2)
-    assert out.explored >= 1
-
-
-def test_replay_swap_unblocks_mixed_classes():
-    # blocks holding equal-class distinct terms admit swaps that change the
-    # block values and unblock a six-block selection
-    d = _pure_y_decomposition([1, 1, 1, 1, 1, 2, 2])
-    out = replay_swap_argument(d)
-    assert out.kind == "selection"
-
-
-def test_replay_swap_finds_after_swap():
-    # block with exponents (5,0,0,0,0) ~ t=1 and one with (10,0,0,0,0) ~ t=2
-    # swapping y^5 against y^10 flips classes and unblocks a selection
-    fam = family_context(G30)
-    blocks = [Sequence.from_terms(G30, [y(5)] + [y(0)] * 4) for _ in range(5)]
-    blocks += [Sequence.from_terms(G30, [y(10)] + [y(0)] * 4) for _ in range(2)]
-    d = make_decomposition(blocks, Sequence.empty(G30), fam.kernel)
-    out = replay_swap_argument(d)
-    assert out.kind == "selection"
-
-
-def test_replay_rejects_wrong_shape():
-    fam = family_context(G30)
-    blocks = [Sequence.from_terms(G30, [y(0)] * 5) for _ in range(6)]
-    d = make_decomposition(blocks, Sequence.empty(G30), fam.kernel)
-    with pytest.raises(ValueError):
-        replay_swap_argument(d)
 
 
 def test_find_big_product_one_trivial():
@@ -339,7 +273,7 @@ def test_whole_blocks_matches_bfs_oracle():
     hits = misses = 0
     for g, n2, s in inputs:
         fam = family_context(g)
-        d = extract_product_h_blocks(s, fam.kernel, 8)
+        d = extract_product_h_blocks(s)
         got, want = [], []
         w = witnesses._stage_whole_blocks(d, fam, lambda **kv: got.append(kv))
         expect = _whole_blocks_bfs(d, fam, lambda **kv: want.append(kv))
@@ -404,11 +338,10 @@ def test_conjugation_identity_exhaustive():
 
 
 def test_decomposition_conservation_under_ops():
-    fam = family_context(G30)
     rng = random.Random(9)
     els = G30.elements()
     s = Sequence.from_terms(G30, (els[rng.randrange(30)] for _ in range(44)))
-    d = extract_product_h_blocks(s, fam.kernel, 8)
+    d = extract_product_h_blocks(s)
     d2 = improve_x_coverage(d)
     assert canonical_key(d2.reassemble()) == canonical_key(s)
 
