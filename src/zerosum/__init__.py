@@ -4,16 +4,13 @@ from .groups import (
     Element,
     GroupSpec,
     Subgroup,
-    dihedral,
     factorize,
     mk_cyclic,
     mk_metacyclic,
     parse_group,
-    projection,
-    quotient_map,
     stabilizer,
 )
-from .sequences import Sequence, canonical_key, map_sequence, parse_sequence_file
+from .sequences import Sequence, canonical_key, parse_sequence_file
 from .products import (
     BudgetExceeded,
     ProductWitness,
@@ -45,9 +42,9 @@ from .witnesses import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Element", "GroupSpec", "Subgroup", "dihedral", "factorize", "mk_cyclic",
-    "mk_metacyclic", "parse_group", "projection", "quotient_map", "stabilizer",
-    "Sequence", "canonical_key", "map_sequence", "parse_sequence_file",
+    "Element", "GroupSpec", "Subgroup", "factorize", "mk_cyclic",
+    "mk_metacyclic", "parse_group", "stabilizer",
+    "Sequence", "canonical_key", "parse_sequence_file",
     "BudgetExceeded", "ProductWitness", "SubproductSet", "find_arrangement",
     "has_product_one", "pi_set", "subproducts", "verify_witness",
     "DgmReport", "dgm_check",

@@ -13,11 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import Subgroup, stabilizer  # re-exported: stabilizer lives here publicly
+from .groups import Subgroup
 from .sequences import Sequence
 from .products import SubproductSet, subproducts
-
-__all__ = ["DgmReport", "dgm_check", "dgm_rhs", "stabilizer"]
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,9 @@ type with kind="cyclic" so that one multiplication kernel serves everything
 downstream.
 
 Also provides: the n = n1*n2 factorization with s = -1 (mod n1), s = +1
-(mod n2); quotients by <y^d>; the coprime-part projections; subgroups as
-explicit membership tables; set stabilizers; and the text literals used by
-sequence files and the CLI (`metacyclic n=15 s=11`, `x*y^7`, ...).
+(mod n2) and its CRT idempotents; subgroups as explicit membership tables;
+set stabilizers; and the text literals used by sequence files and the CLI
+(`metacyclic n=15 s=11`, `x*y^7`, ...).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ METACYCLIC = "metacyclic"
 
 
 class GroupError(ValueError):
-    """Invalid group parameters, elements, or subgroup/homomorphism requests."""
+    """Invalid group parameters, elements, or subgroup requests."""
 
 
 class Element(NamedTuple):
@@ -99,10 +99,6 @@ class GroupSpec:
             raise GroupError(f"element {format_element(u)} not valid for {format_group(self)}")
         return u
 
-    def make(self, eps: int, a: int) -> Element:
-        """Build an element, reducing the y-exponent mod n."""
-        return self.check(Element(eps % 2, a % self.n))
-
     def mul(self, u: Element, v: Element) -> Element:
         # (eps1,a1)*(eps2,a2) = (eps1^eps2, a1*s^eps2 + a2), from yx = xy^s.
         return Element(u.eps ^ v.eps, (u.a * (self.s if v.eps else 1) + v.a) % self.n)
@@ -111,25 +107,6 @@ class GroupSpec:
         if u.eps == 0:
             return Element(0, (-u.a) % self.n)
         return Element(1, (-u.a * self.s) % self.n)
-
-    def power(self, u: Element, k: int) -> Element:
-        if k < 0:
-            return self.power(self.inv(u), -k)
-        acc = self.identity
-        for _ in range(k):
-            acc = self.mul(acc, u)
-        return acc
-
-    def element_order(self, u: Element) -> int:
-        acc, k = u, 1
-        while acc != self.identity:
-            acc = self.mul(acc, u)
-            k += 1
-        return k
-
-    def conjugate(self, h: Element, u: Element) -> Element:
-        """h * u * h^-1."""
-        return self.mul(self.mul(h, u), self.inv(h))
 
 
 @functools.lru_cache(maxsize=None)
@@ -160,11 +137,6 @@ def mk_cyclic(n: int) -> GroupSpec:
     if n < 1:
         raise GroupError(f"cyclic group needs n >= 1, got {n}")
     return GroupSpec(n=n, s=1 % n, kind=CYCLIC)
-
-
-def dihedral(n: int) -> GroupSpec:
-    """D_{2n} as the s = -1 twist."""
-    return mk_metacyclic(n, n - 1)
 
 
 # -- factorization n = n1 * n2 ------------------------------------------------
@@ -259,76 +231,6 @@ class Subgroup:
         g = self.group
         return frozenset(g.mul(u, h) for h in self.members)
 
-    def cosets(self) -> list[frozenset[Element]]:
-        """Left cosets, deterministically ordered by their minimal element."""
-        seen: set[Element] = set()
-        out = []
-        for u in self.group.elements():
-            if u in seen:
-                continue
-            c = self.coset_of(u)
-            seen |= c
-            out.append(c)
-        return out
-
-    def is_normal(self) -> bool:
-        g = self.group
-        return all(
-            g.conjugate(u, h) in self.members for u in g.elements() for h in self.members
-        )
-
-
-def trivial_subgroup(g: GroupSpec) -> Subgroup:
-    return Subgroup(g, frozenset([g.identity]), "<1>")
-
-
-def whole_group(g: GroupSpec) -> Subgroup:
-    return Subgroup(g, frozenset(g.elements()), "G")
-
-
-def cyclic_y_subgroup(g: GroupSpec, d: int) -> Subgroup:
-    """<y^d> for d | n; normal in G since conjugation by x maps y^d to y^(d*s)."""
-    if d < 1 or g.n % d:
-        raise GroupError(f"d={d} does not divide n={g.n}")
-    members = frozenset(Element(0, a) for a in range(0, g.n, d))
-    return Subgroup(g, members, f"<y^{d}>")
-
-
-def subgroup_generated(g: GroupSpec, gens: Iterable[Element], description: str = "") -> Subgroup:
-    gens = [g.check(u) for u in gens]
-    members = {g.identity}
-    frontier = [g.identity]
-    while frontier:
-        u = frontier.pop()
-        for v in gens:
-            for w in (g.mul(u, v), g.mul(u, g.inv(v))):
-                if w not in members:
-                    members.add(w)
-                    frontier.append(w)
-    desc = description or "<" + ", ".join(format_element(u) for u in gens) + ">"
-    return Subgroup(g, frozenset(members), desc)
-
-
-def all_subgroups(g: GroupSpec) -> list[Subgroup]:
-    """Every subgroup.  H meets <y> in some <y^d>; an x-part, when present, is a
-    single coset x*y^c*<y^d> and closure forces c*(s+1) = 0 (mod d)."""
-    out = []
-    for d in range(1, g.n + 1):
-        if g.n % d:
-            continue
-        out.append(cyclic_y_subgroup(g, d))
-        if g.kind != METACYCLIC:
-            continue
-        for c in range(d):
-            if (c * (g.s + 1)) % d == 0:
-                members = frozenset(
-                    [Element(0, a) for a in range(0, g.n, d)]
-                    + [Element(1, (c + a) % g.n) for a in range(0, g.n, d)]
-                )
-                out.append(Subgroup(g, members, f"<x*y^{c}, y^{d}>"))
-    out.sort(key=lambda h: (h.order, sorted(h.members)))
-    return out
-
 
 def stabilizer(g: GroupSpec, members: Iterable[Element]) -> Subgroup:
     """H(A) = {h : hA = A}, the full set stabilizer.
@@ -347,67 +249,6 @@ def stabilizer(g: GroupSpec, members: Iterable[Element]) -> Subgroup:
     )
     assert (len(stab) == g.order) == (len(aset) == g.order)
     return Subgroup(g, stab, "stab")
-
-
-# -- homomorphisms ------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class Hom:
-    """A homomorphism given by an explicit table on its domain."""
-
-    source: GroupSpec
-    target: GroupSpec
-    table: dict[Element, Element]
-    name: str = ""
-
-    def __call__(self, u: Element) -> Element:
-        try:
-            return self.table[u]
-        except KeyError:
-            raise GroupError(
-                f"{self.name or 'map'} is not defined on {format_element(u)}"
-            ) from None
-
-
-def quotient_map(g: GroupSpec, h: Subgroup) -> Hom:
-    """Natural map G -> G/<y^d>, realized as the group with (n'=d, s'=s mod d).
-
-    The kernel is exactly <y^d>; elements map by reducing the y-exponent mod d.
-    """
-    if h.group != g:
-        raise GroupError("subgroup belongs to a different group")
-    d = None
-    for cand in range(1, g.n + 1):
-        if g.n % cand == 0 and g.n // cand == h.order:
-            d = cand
-            break
-    expected = frozenset(Element(0, a) for a in range(0, g.n, d)) if d else None
-    if expected is None or h.members != expected:
-        raise GroupError(f"quotient_map needs a subgroup of the form <y^d>, got {h.description}")
-    target = GroupSpec(n=d, s=g.s % d if d > 1 else 0, kind=g.kind)
-    table = {u: Element(u.eps, u.a % d) for u in g.elements()}
-    return Hom(g, target, table, name=f"mod <y^{d}>")
-
-
-def projection(g: GroupSpec, which: int) -> Hom:
-    """Coprime-part projections for <y> = <y^n1> x <y^n2>.
-
-    which=1: y^a -> its <y^n1> component (defined on <y> only).
-    which=2: x^e y^a -> x^e y^(a*e2), defined on all of G via the direct
-    decomposition G = <y^n1> x <x, y^n2>.
-    """
-    f = factorize(g)
-    if not f.coprime:
-        raise GroupError(f"projections need coprime factors, got ({f.n1},{f.n2})")
-    e1, e2 = crt_scalars(g, f)
-    if which == 1:
-        table = {Element(0, a): Element(0, (a * e1) % g.n) for a in range(g.n)}
-        return Hom(g, g, table, name="proj-1")
-    if which == 2:
-        table = {u: Element(u.eps, (u.a * e2) % g.n) for u in g.elements()}
-        return Hom(g, g, table, name="proj-2")
-    raise GroupError(f"projection index must be 1 or 2, got {which}")
 
 
 # -- literals -----------------------------------------------------------------

@@ -25,8 +25,6 @@ from typing import Iterable, Iterator, Mapping
 from .groups import (
     Element,
     GroupSpec,
-    Hom,
-    Subgroup,
     format_element,
     format_group,
     parse_element,
@@ -140,16 +138,7 @@ class Sequence:
                 merged[el] = have - m
         return Sequence(self.group, tuple(sorted(merged.items())))
 
-    def divides(self, other: "Sequence") -> bool:
-        return self.group == other.group and all(
-            m <= other.multiplicity(el) for el, m in self.counts
-        )
-
     # -- restriction
-
-    def restrict(self, part: Subgroup | frozenset[Element] | set[Element]) -> "Sequence":
-        members = part.members if isinstance(part, Subgroup) else frozenset(part)
-        return Sequence(self.group, tuple((el, m) for el, m in self.counts if el in members))
 
     def y_part(self) -> "Sequence":
         """Terms from <y> (eps = 0)."""
@@ -166,15 +155,6 @@ def canonical_key(seq: Sequence) -> bytes:
     head = f"{g.kind}:{g.n}:{g.s}|"
     body = ";".join(f"{el.eps},{el.a}*{m}" for el, m in seq.counts)
     return (head + body).encode("ascii")
-
-
-def map_sequence(seq: Sequence, hom: Hom) -> Sequence:
-    """Push a sequence through a homomorphism term by term; length is preserved."""
-    merged: dict[Element, int] = {}
-    for el, m in seq.counts:
-        image = hom(el)
-        merged[image] = merged.get(image, 0) + m
-    return Sequence(hom.target, tuple(sorted(merged.items())))
 
 
 # -- file format ----------------------------------------------------------------

@@ -30,7 +30,6 @@ from typing import Callable
 
 from .groups import (
     Element,
-    Factorization,
     GroupSpec,
     Subgroup,
     crt_scalars,
@@ -91,15 +90,8 @@ def family_context(g: GroupSpec) -> FamilyContext:
 # -- class-constrained subset picking ---------------------------------------------
 
 
-def _pick_subset(
-    seq: Sequence,
-    class_of,
-    m: int,
-    k: int,
-    target: int,
-    budget: _Budget,
-) -> Sequence | None:
-    """A k-term subsequence whose class values sum to target mod m, or None.
+def _pick_subset(seq: Sequence, class_of, m: int, budget: _Budget) -> Sequence | None:
+    """An m-term subsequence whose class values sum to 0 mod m, or None.
 
     Deterministic: the DP resolves class counts, then concrete terms are
     assigned in canonical element order.
@@ -109,8 +101,8 @@ def _pick_subset(
         pools.setdefault(class_of(el), []).append((el, cnt))
     pairs = sorted(pools.items())
     entries = [(False, cls, sum(cnt for _, cnt in pool)) for cls, pool in pairs]
-    dp = _SignClassDP(entries, m, 1, k, k, budget)
-    picks = dp.pick(k, 0, target % m)
+    dp = _SignClassDP(entries, m, 1, m, m, budget)
+    picks = dp.pick(m, 0, 0)
     if picks is None:
         return None
     picked: dict[Element, int] = {}
@@ -141,7 +133,7 @@ def egz_extract(seq: Sequence, *, budget: int | None = None) -> Sequence:
     m = g.n
     if seq.length < 2 * m - 1:
         raise ValueError(f"need length >= {2 * m - 1}, got {seq.length}")
-    block = _pick_subset(seq, lambda el: el.a % m, m, m, 0, _Budget(budget))
+    block = _pick_subset(seq, lambda el: el.a % m, m, _Budget(budget))
     assert block is not None, "EGZ guarantee violated"
     return block
 
@@ -200,7 +192,7 @@ def extract_product_h_blocks(seq: Sequence, *, budget: int | None = None) -> Dec
     blocks = []
     remaining = seq
     for _ in range(8):
-        block = _pick_subset(remaining, fam.component, n2, n2, 0, b)
+        block = _pick_subset(remaining, fam.component, n2, b)
         assert block is not None, "block extraction guarantee violated"
         blocks.append(block)
         remaining = remaining.remove(block)
@@ -366,9 +358,7 @@ class StructureReport:
     detail: str
 
 
-def singleton_pi_structure(
-    seq: Sequence, f: Factorization | None = None, budget: int | None = None
-) -> StructureReport:
+def singleton_pi_structure(seq: Sequence, budget: int | None = None) -> StructureReport:
     """For |S| = n2 with singleton pi(S): check the coset-case conclusions.
 
     Clause 1: pi(S) inside <y^n2> with at least one x-term forces pi(S) = {1}.
@@ -377,7 +367,7 @@ def singleton_pi_structure(
     product's exponent congruent to them mod n1.
     """
     g = seq.group
-    f = f or factorize(g)
+    f = factorize(g)
     n1, n2 = f.n1, f.n2
     if seq.length != n2:
         raise ValueError(f"need length n2 = {n2}, got {seq.length}")
