@@ -32,7 +32,6 @@ from .constants import (
 from .witnesses import (
     Decomposition,
     WitnessSearchExhausted,
-    egz_extract,
     extract_product_h_blocks,
     find_big_product_one,
     improve_x_coverage,
@@ -50,7 +49,6 @@ __all__ = [
     "DgmReport", "dgm_check",
     "ConstantReport", "check_template", "classify_extremal",
     "davenport_constant", "gao_constant",
-    "Decomposition", "WitnessSearchExhausted", "egz_extract",
-    "extract_product_h_blocks", "find_big_product_one", "improve_x_coverage",
-    "singleton_pi_structure",
+    "Decomposition", "WitnessSearchExhausted", "extract_product_h_blocks",
+    "find_big_product_one", "improve_x_coverage", "singleton_pi_structure",
 ]

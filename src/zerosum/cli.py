@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: group, pi, subproducts, check, verify-witness, gao, davenport,
-classify, template, dgm, witness, replay, repro.  Output is human-readable by
+classify, template, dgm, witness, repro.  Output is human-readable by
 default; --records switches to line-delimited key=value records in which every
 line parses independently.  Exit statuses: 0 ok, 2 claim false, 3 infeasible,
 4 budget exceeded, 64 usage error.  ZEROSUM_BUDGET overrides the default
@@ -105,17 +105,6 @@ def _jobs(args) -> int:
     return args.jobs
 
 
-def _fuzz_sizes(args) -> None:
-    """Reject fuzz sizes before any trial runs: no trials, or no group or length to draw."""
-    for flag, value, least in (
-        ("--trials", args.trials, 0),
-        ("--max-order", args.max_order, 2),
-        ("--max-len", args.max_len, 1),
-    ):
-        if value < least:
-            raise ValueError(f"{flag} must be at least {least}, got {value}")
-
-
 def _add_common(p: argparse.ArgumentParser, *, seq=False, group=False, budget=True):
     p.add_argument("--records", action="store_true", help="line-delimited key=value output")
     if budget:
@@ -174,30 +163,21 @@ def build_parser() -> _Parser:
     _add_common(p, seq=True, budget=False)
     p.set_defaults(run=_cmd_template)
 
-    p = sub.add_parser("dgm", help="subproduct lower-bound report, or seeded fuzzing")
-    _add_common(p)
-    p.add_argument("--seq", help="sequence file (single check)")
-    p.add_argument("--group", default=None, help="optional group literal cross-check")
-    p.add_argument("--n", type=int, help="subproduct length (single check)")
-    p.add_argument("--fuzz", action="store_true")
-    p.add_argument("--trials", type=int, default=repro.DGM_TRIALS)
-    p.add_argument("--max-order", type=int, default=30)
-    p.add_argument("--max-len", type=int, default=20)
-    p.add_argument("--seed", type=int, default=repro.DEFAULT_SEED)
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (at least 1)")
+    p = sub.add_parser("dgm", help="subproduct lower-bound report (seeded fuzzing: repro dgm)")
+    _add_common(p, seq=True)
+    p.add_argument("--n", type=int, required=True)
     p.set_defaults(run=_cmd_dgm)
 
     p = sub.add_parser("witness", help="find a verified k-product-one witness")
     _add_common(p, seq=True)
     p.add_argument("--k", type=int, required=True)
-    p.set_defaults(run=_cmd_witness)
-
-    p = sub.add_parser(
-        "replay", help="run the witness path (y-part, one block pass, kernel) with a step trace"
+    p.add_argument(
+        "--trace", action="store_true",
+        help="print the step records of the witness path (y-part, one block pass, kernel) "
+             "first; only family inputs with k = 6*n2 and length >= 9*n2 - 1 take that "
+             "path, and others print no trace",
     )
-    _add_common(p, seq=True)
-    p.add_argument("--trace", action="store_true", help="print step records")
-    p.set_defaults(run=_cmd_replay)
+    p.set_defaults(run=_cmd_witness)
 
     p = sub.add_parser("repro", help="run a reproduction suite")
     p.add_argument("suite", choices=repro.SUITE_NAMES)
@@ -210,7 +190,10 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits on --help and on usage errors
+        return exc.code
     out = _Out(getattr(args, "records", False))
     try:
         return args.run(args, out)
@@ -343,31 +326,6 @@ def _cmd_template(args, out: _Out) -> int:
 
 
 def _cmd_dgm(args, out: _Out) -> int:
-    if args.fuzz:
-        jobs = _jobs(args)
-        _fuzz_sizes(args)
-        trial = functools.partial(
-            repro._dgm_trial, max_order=args.max_order, max_len=args.max_len, budget=_budget(args)
-        )
-        results = repro._parallel_map(trial, repro._dgm_seeds(args.seed, args.trials), jobs)
-        violations = 0
-        for i, found in enumerate(results):
-            if found is None:
-                continue
-            n, lhs, rhs, seq = found
-            violations += 1
-            out.emit(
-                f"VIOLATION trial {i}: lhs={lhs} rhs={rhs} n={n}",
-                op="dgm", trial=i, lhs=lhs, rhs=rhs, n=n, holds=False,
-            )
-            out.raw(format_sequence(seq))
-        out.emit(
-            f"fuzz: {args.trials} trials, {violations} violation(s)",
-            op="dgm-fuzz", trials=args.trials, violations=violations, seed=args.seed,
-        )
-        return EXIT_OK if violations == 0 else EXIT_CLAIM_FALSE
-    if not args.seq or args.n is None:
-        raise ValueError("dgm needs --seq and --n, or --fuzz")
     seq = _load_sequence(args.seq, args.group)
     rep = dgm_check(seq, args.n, _budget(args))
     out.emit(
@@ -395,6 +353,9 @@ def _cmd_witness(args, out: _Out) -> int:
             via = trace_rung(trace)
         except WitnessSearchExhausted:
             w = None
+        if args.trace:
+            for line in trace:
+                out.raw(line)
     else:
         w = find_arrangement(seq, args.k, g.identity, _budget(args))
     if w is None:
@@ -403,24 +364,6 @@ def _cmd_witness(args, out: _Out) -> int:
     ok, reason = verify_witness(seq, w)
     assert ok, reason
     out.emit(f"found and verified (via {via}):", op="witness", k=args.k, found=True, rung=via)
-    out.raw(format_witness_line(w))
-    return EXIT_OK
-
-
-def _cmd_replay(args, out: _Out) -> int:
-    seq = _load_sequence(args.seq, args.group)
-    trace: list[str] = []
-    try:
-        w = find_big_product_one(seq, budget=_budget(args), trace=trace)
-    except WitnessSearchExhausted:
-        w = None
-    if args.trace or out.records:
-        for line in trace:
-            out.raw(line)
-    if w is None:
-        out.emit("witness path exhausted: no witness (sequence may be extremal)", op="replay", found=False)
-        return EXIT_CLAIM_FALSE
-    out.emit(f"witness of length {w.k} found", op="replay", found=True, k=w.k)
     out.raw(format_witness_line(w))
     return EXIT_OK
 

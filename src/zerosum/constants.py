@@ -63,7 +63,6 @@ class TemplateMatch:
 class ExtremalFamily:
     template: str
     representatives: tuple[Sequence, ...]
-    parameters: tuple[tuple[int, ...], ...]
 
 
 # -- automorphisms ---------------------------------------------------------------
@@ -294,22 +293,8 @@ def classify_extremal(
 ) -> list[ExtremalFamily]:
     """Group all k-product-one-free sequences of the given length into
     automorphism-orbit representatives and match each against the templates."""
-    reps = enumerate_free(g, length, k, ceiling=ceiling, budget=budget)
-    buckets: dict[str, list[tuple[Sequence, tuple[int, ...]]]] = {}
-    for rep in reps:
+    buckets: dict[str, list[Sequence]] = {}
+    for rep in enumerate_free(g, length, k, ceiling=ceiling, budget=budget):
         match = check_template(rep)
-        if match is None:
-            buckets.setdefault("unmatched", []).append((rep, ()))
-        else:
-            buckets.setdefault(match.name, []).append((rep, match.params))
-    out = []
-    for name in sorted(buckets):
-        rows = buckets[name]
-        out.append(
-            ExtremalFamily(
-                template=name,
-                representatives=tuple(r for r, _ in rows),
-                parameters=tuple(p for _, p in rows),
-            )
-        )
-    return out
+        buckets.setdefault("unmatched" if match is None else match.name, []).append(rep)
+    return [ExtremalFamily(name, tuple(buckets[name])) for name in sorted(buckets)]

@@ -64,7 +64,7 @@ class BudgetExceeded(RuntimeError):
     def __init__(self, used: int, limit: int):
         super().__init__(
             f"search budget exceeded: {used} DP cells used, limit {limit}; "
-            "raise --budget to continue"
+            "raise --budget or ZEROSUM_BUDGET to continue"
         )
         self.used = used
         self.limit = limit

@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .groups import Element, GroupSpec, mk_cyclic, mk_metacyclic, format_group
-from .sequences import Sequence, canonical_key
+from .sequences import Sequence, canonical_key, format_sequence
 from .products import has_product_one, pi_set, subproducts, verify_witness
 from .bounds import dgm_check
 from .constants import (
@@ -373,31 +373,30 @@ def crit_structure(seed: int = DEFAULT_SEED) -> CriterionResult:
 # -- engine cross-checks ------------------------------------------------------------------
 
 
-def _dgm_trial(
-    seed: int, max_order: int = 30, max_len: int = 20, budget: int | None = None
-) -> tuple[int, int, int, Sequence] | None:
-    """One seeded DGM instance over a random cyclic group of order <= max_order;
-    None when the bound holds, else the violation (n, lhs, rhs, sequence)."""
+def _dgm_trial(seed: int) -> tuple[int, int, int, Sequence] | None:
+    """One seeded DGM instance: at most 20 terms over a cyclic group of order at
+    most 30.  None when the bound holds, else the violation (n, lhs, rhs, sequence)."""
     rng = random.Random(seed)
-    m = rng.randrange(2, max_order + 1)
+    m = rng.randrange(2, 31)
     g = mk_cyclic(m)
-    length = rng.randrange(1, max_len + 1)
+    length = rng.randrange(1, 21)
     seq = Sequence.from_terms(g, (Element(0, rng.randrange(m)) for _ in range(length)))
     n = rng.randrange(1, length + 1)
-    rep = dgm_check(seq, n, budget)
+    rep = dgm_check(seq, n)
     return None if rep.holds else (n, rep.lhs, rep.rhs, seq)
 
 
-def _dgm_seeds(seed: int, trials: int) -> list[int]:
-    return [seed * 5_000_011 + i for i in range(trials)]
-
-
 def crit_dgm(seed: int = DEFAULT_SEED, jobs: int = 1) -> CriterionResult:
-    results = _parallel_map(_dgm_trial, _dgm_seeds(seed, DGM_TRIALS), jobs)
-    violations = sum(r is not None for r in results)
-    rows = [f"dgm-fuzz trials={DGM_TRIALS} violations={violations}"]
+    results = _parallel_map(_dgm_trial, [seed * 5_000_011 + i for i in range(DGM_TRIALS)], jobs)
+    violations = [(i, r) for i, r in enumerate(results) if r is not None]
+    rows = [f"dgm-fuzz trials={DGM_TRIALS} violations={len(violations)}"]
+    rows += [
+        f"dgm-violation trial={i} group=\"{format_group(seq.group)}\" n={n} lhs={lhs} rhs={rhs} "
+        f": {format_sequence(seq)}"
+        for i, (n, lhs, rhs, seq) in violations
+    ]
     return CriterionResult(
-        "dgm-bound", violations == 0, "subproduct lower bound holds on all seeded abelian instances", rows
+        "dgm-bound", not violations, "subproduct lower bound holds on all seeded abelian instances", rows
     )
 
 

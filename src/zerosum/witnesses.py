@@ -17,7 +17,7 @@ verified path:
 Every rung returns only witnesses that pass the independent verifier, and a
 trace records which rung produced each one.
 
-Beside the path sit `egz_extract`, the block decompositions of rung 2
+Beside the path sit the block decompositions of rung 2
 (`improve_x_coverage`, a greedy x-coverage heuristic, is not on the path)
 and `singleton_pi_structure`, the coset-case check for singleton pi(S).
 """
@@ -121,23 +121,6 @@ def _pick_subset(seq: Sequence, class_of, m: int, budget: _Budget) -> Sequence |
     return Sequence.from_counts(seq.group, picked)
 
 
-def egz_extract(seq: Sequence, *, budget: int | None = None) -> Sequence:
-    """A length-n subsequence with product one over the cyclic part <y> of order n.
-
-    Requires |seq| >= 2n-1, which guarantees existence; the subsequence is
-    found by the exact subset-sum DP and is deterministic.
-    """
-    g = seq.group
-    if any(el.eps for el in seq.support):
-        raise ValueError("egz_extract needs a sequence over the cyclic part <y>")
-    m = g.n
-    if seq.length < 2 * m - 1:
-        raise ValueError(f"need length >= {2 * m - 1}, got {seq.length}")
-    block = _pick_subset(seq, lambda el: el.a % m, m, _Budget(budget))
-    assert block is not None, "EGZ guarantee violated"
-    return block
-
-
 # -- decompositions ----------------------------------------------------------------
 
 
@@ -156,12 +139,6 @@ class Decomposition:
     arrangers: tuple[Callable[[Element], tuple[Element, ...]], ...] = field(
         compare=False, repr=False
     )
-
-    def reassemble(self) -> Sequence:
-        out = self.remainder
-        for b in self.blocks:
-            out = out.concat(b)
-        return out
 
     def x_coverage(self) -> int:
         return sum(1 for b in self.blocks if b.x_part().length > 0)

@@ -8,10 +8,13 @@ from zerosum.cli import (
     EXIT_USAGE,
     main,
 )
+from zerosum.sequences import parse_sequence_file
+from zerosum.witnesses import WitnessSearchExhausted, find_big_product_one
 
 EXTREMAL = "group metacyclic n=15 s=11\nseq y^1 * 29, y^2 * 14, x*y^7 * 1\n"
 LONG = "group metacyclic n=15 s=11\nseq y^1 * 30, y^2 * 14, x*y^7 * 1\n"
 BUSY = "group metacyclic n=15 s=11\nseq y^1 * 29, y^2 * 14, x*y^7 * 1, 1 * 1\n"
+D10 = "group metacyclic n=5 s=4\nseq y^1 * 14, x * 1\n"
 
 
 @pytest.fixture
@@ -99,42 +102,18 @@ def test_template_match_and_miss(capsys, extremal_file, tmp_path):
     assert code == EXIT_CLAIM_FALSE and "match=none" in out
 
 
-def test_dgm_single_and_fuzz(capsys, tmp_path):
+def test_dgm_single(capsys, tmp_path):
     p = tmp_path / "ab.seq"
     p.write_text("group cyclic n=12\nseq y^1 * 4, y^5 * 3\n")
     code, out, _ = run(capsys, "dgm", "--seq", str(p), "--n", "3", "--records")
     assert code == EXIT_OK and "holds=true" in out
-    code, out, _ = run(capsys, "dgm", "--fuzz", "--trials", "50", "--seed", "3", "--records")
-    assert code == EXIT_OK and "violations=0" in out
 
 
-def test_dgm_fuzz_same_output_across_jobs(capsys):
-    code1, out1, _ = run(capsys, "dgm", "--fuzz", "--trials", "50", "--seed", "3", "--jobs", "1")
-    code2, out2, _ = run(capsys, "dgm", "--fuzz", "--trials", "50", "--seed", "3", "--jobs", "2")
-    assert code1 == code2 == EXIT_OK
-    assert out1 == out2 and "50 trials, 0 violation(s)" in out1
-
-
-def test_dgm_fuzz_budget_exit_across_jobs(capsys):
-    code, _, err = run(capsys, "dgm", "--fuzz", "--trials", "4", "--budget", "1", "--jobs", "2")
-    assert code == EXIT_BUDGET and "limit 1" in err
-
-
-def test_dgm_fuzz_bad_jobs_is_usage_error(capsys):
-    code, out, err = run(capsys, "dgm", "--fuzz", "--trials", "5", "--jobs", "-3")
-    assert code == EXIT_USAGE and "--jobs" in err and out == ""
-
-
-@pytest.mark.parametrize(
-    "flag,value", [("--trials", "-5"), ("--max-order", "1"), ("--max-len", "0")]
-)
-def test_dgm_fuzz_bad_sizes_are_usage_errors(capsys, monkeypatch, flag, value):
-    def no_trial(*args, **kwargs):
-        raise AssertionError("a fuzz trial ran")
-
-    monkeypatch.setattr("zerosum.repro._dgm_trial", no_trial)
-    code, out, err = run(capsys, "dgm", "--fuzz", flag, value)
-    assert code == EXIT_USAGE and flag in err and out == ""
+def test_repro_dgm_budget_exit_across_jobs(capsys, monkeypatch):
+    # the BudgetExceeded raised in a worker process reaches the CLI intact
+    monkeypatch.setenv("ZEROSUM_BUDGET", "1")
+    code, _, err = run(capsys, "repro", "dgm", "--jobs", "2")
+    assert code == EXIT_BUDGET and "limit 1" in err and "ZEROSUM_BUDGET" in err
 
 
 def test_repro_bad_jobs_is_usage_error(capsys):
@@ -147,18 +126,55 @@ def test_dgm_usage_error(capsys):
     assert code == EXIT_USAGE
 
 
-def test_replay_trace(capsys, extremal_file):
-    code, out, _ = run(capsys, "replay", "--seq", extremal_file, "--trace")
-    assert code == EXIT_CLAIM_FALSE
-    assert "step=start" in out
-    assert "witness path exhausted" in out
+@pytest.mark.parametrize("argv", [("dgm", "--fuzz"), ("replay", "--trace")])
+def test_removed_forms_are_usage_errors(capsys, long_file, argv):
+    code, out, _ = run(capsys, *argv, "--seq", long_file)
+    assert code == EXIT_USAGE and out == ""
 
 
-def test_replay_outside_family_is_usage_error(capsys, tmp_path):
+# stdout of `witness --k 30` on each file, human and --records
+_WITNESS_OUT = {
+    LONG: ("y-part", " ".join(["y^1"] * 30)),
+    BUSY: ("y-part", " ".join(["1"] + ["y^1"] * 28 + ["y^2"])),
+    EXTREMAL: None,
+}
+
+
+def _witness_out(text, records):
+    if _WITNESS_OUT[text] is None:
+        miss = "op=witness k=30 found=false" if records else "no product-one subsequence of length 30 found"
+        return miss + "\n"
+    rung, terms = _WITNESS_OUT[text]
+    head = f"op=witness k=30 found=true rung={rung}" if records else f"found and verified (via {rung}):"
+    return f"{head}\nwitness k=30 target=1 : {terms}\n"
+
+
+def test_witness_trace(capsys, tmp_path):
+    for i, text in enumerate(_WITNESS_OUT):
+        p = tmp_path / f"{i}.seq"
+        p.write_text(text)
+        for records in ((), ("--records",)):
+            code, out, _ = run(capsys, "witness", "--seq", str(p), "--k", "30", *records)
+            assert out == _witness_out(text, bool(records))
+            assert code == (EXIT_CLAIM_FALSE if _WITNESS_OUT[text] is None else EXIT_OK)
+        if text == BUSY:
+            continue
+        trace = []
+        try:
+            find_big_product_one(parse_sequence_file(text), trace=trace)
+        except WitnessSearchExhausted:
+            pass
+        assert trace[0].startswith("step=start")
+        code, out, _ = run(capsys, "witness", "--seq", str(p), "--k", "30", "--trace")
+        assert out == "".join(line + "\n" for line in trace) + _witness_out(text, False)
+
+
+def test_witness_outside_family_goes_direct(capsys, tmp_path):
     p = tmp_path / "d10.seq"
-    p.write_text("group metacyclic n=5 s=4\nseq y^1 * 14, x * 1\n")
-    code, out, err = run(capsys, "replay", "--seq", str(p))
-    assert code == EXIT_USAGE and "outside" in err and out == ""
+    p.write_text(D10)
+    code, out, _ = run(capsys, "witness", "--seq", str(p), "--k", "10", "--trace")
+    assert code == EXIT_OK
+    assert out == "found and verified (via direct):\nwitness k=10 target=1 : " + " ".join(["y^1"] * 10) + "\n"
 
 
 def test_classify_records(capsys):

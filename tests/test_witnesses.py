@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 
 import pytest
 
@@ -8,7 +9,6 @@ from zerosum.groups import (
     Element,
     crt_scalars,
     factorize,
-    mk_cyclic,
     mk_metacyclic,
     mul_table,
 )
@@ -17,7 +17,6 @@ from zerosum.products import ProductWitness, has_product_one, pi_set, verify_wit
 from zerosum.repro import _length_9n2_sequence, _upper_trial
 from zerosum.witnesses import (
     WitnessSearchExhausted,
-    egz_extract,
     extract_product_h_blocks,
     family_context,
     find_big_product_one,
@@ -52,27 +51,6 @@ def test_family_context():
         family_context(mk_metacyclic(15, 4))  # n1 = 5
 
 
-def test_egz_examples():
-    c5 = mk_cyclic(5)
-    s = Sequence.from_counts(c5, {Element(0, 2): 9})
-    block = egz_extract(s)
-    assert block.length == 5 and block.multiplicity(Element(0, 2)) == 5
-    # 0^[m-1] . 1^[m]
-    s2 = Sequence.from_counts(c5, {Element(0, 0): 4, Element(0, 1): 5})
-    block2 = egz_extract(s2)
-    assert block2.length == 5
-    assert sum(el.a * m for el, m in block2.counts) % 5 == 0
-    # length 3m-1 allows two disjoint extractions
-    s3 = Sequence.from_terms(c5, [Element(0, a % 5) for a in range(14)])
-    b1 = egz_extract(s3)
-    b2 = egz_extract(s3.remove(b1))
-    assert b1.length == b2.length == 5
-    combined = b1.concat(b2)
-    assert sum(el.a * m for el, m in combined.counts) % 5 == 0
-    with pytest.raises(ValueError):
-        egz_extract(Sequence.from_counts(c5, {Element(0, 1): 8}))
-
-
 def test_extract_blocks_accounting():
     fam = family_context(G30)
     rng = random.Random(0)
@@ -83,7 +61,7 @@ def test_extract_blocks_accounting():
     assert len(d.blocks) == 8
     assert all(b.length == 5 for b in d.blocks)
     # conservation: blocks + remainder = source
-    assert canonical_key(d.reassemble()) == canonical_key(s)
+    assert canonical_key(reduce(Sequence.concat, d.blocks, d.remainder)) == canonical_key(s)
     # every block is a kernel-product block: its products stay inside the kernel
     for b, ps in zip(d.blocks, d.products):
         assert ps == pi_set(b)
@@ -115,7 +93,7 @@ def test_improve_x_coverage():
     assert improved.x_coverage() >= base.x_coverage()
     assert improved.x_coverage() >= 2  # enough matching classes to spread both
     # conservation and kernel-product preserved
-    assert canonical_key(improved.reassemble()) == canonical_key(s)
+    assert canonical_key(reduce(Sequence.concat, improved.blocks, improved.remainder)) == canonical_key(s)
     for b in improved.blocks:
         assert all(p in fam.kernel for p in pi_set(b))
     # a fixpoint stays put, without rebuilding the decomposition
@@ -292,7 +270,6 @@ def test_find_big_product_one_d6():
     # n2 = 1: the blocks are single terms, picked by the subset-sum DP over Z_1
     d6 = mk_metacyclic(3, 2)
     assert crt_scalars(d6) == (0, 1)
-    assert egz_extract(Sequence.from_counts(mk_cyclic(1), {Element(0, 0): 3})).length == 1
     rng = random.Random(6)
     els = d6.elements()
     inputs = list(gao_constant(d6).certificates)  # free at length 8
@@ -321,6 +298,9 @@ def test_find_big_product_one_rejections():
     ext = Sequence.from_counts(G30, {y(1): 29, y(2): 14, xy(7): 1})
     with pytest.raises(WitnessSearchExhausted):
         find_big_product_one(ext)
+    d10 = Sequence.from_counts(mk_metacyclic(5, 4), {Element(0, 1): 14, Element(1, 0): 1})
+    with pytest.raises(ValueError, match="outside"):
+        find_big_product_one(d10)
 
 
 def test_conjugation_identity_exhaustive():
@@ -343,7 +323,7 @@ def test_decomposition_conservation_under_ops():
     s = Sequence.from_terms(G30, (els[rng.randrange(30)] for _ in range(44)))
     d = extract_product_h_blocks(s)
     d2 = improve_x_coverage(d)
-    assert canonical_key(d2.reassemble()) == canonical_key(s)
+    assert canonical_key(reduce(Sequence.concat, d2.blocks, d2.remainder)) == canonical_key(s)
 
 
 def test_singleton_pi_structure_clauses():
