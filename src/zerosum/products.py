@@ -15,6 +15,7 @@ over (copies used, x0 - x1, has-x) states mapped to bitmasks over Z_n, with
 one table per support entry so that a backtrack recovers the (j0, j1) class
 counts of every entry, and from them a witness ordering.  Over <y>, or over a
 cyclic group, no x-term exists and the DP is the plain subset sum (t = 0).
+Its loop over the copies of an entry stops once a slot's mask is full.
 Empty sequences and k = 0 take the same path, with no special case around
 the kernel; only pi(S) of commuting terms (an abelian group, or every term
 in <y>) is a plain sum, since it has one member.
@@ -213,6 +214,8 @@ class _SignClassDP:
                         if prev:
                             r = a * j % n
                             acc |= ((prev << r) | (prev >> (n - r))) & full if r else prev
+                            if acc == full:
+                                break
                     lane0[c] = acc
                 used0 = top
                 slots += max(0, top - low + 1)

@@ -8,10 +8,12 @@ verified path:
 1. exact subset-sum DP on the <y>-part (complete whenever at most one term
    lies outside <y>, and cheap to try always);
 2. one block pass: pull eight length-m blocks whose C_m-component sums
-   vanish, building each block's product DP once, then search depth-first,
-   over (used blocks, running product) states with dead states recorded, for
-   the first composition of six whole blocks, with products chosen from each
-   block's product set, that closes over the order-6 kernel;
+   vanish, each picked by a subset-sum DP over one class-count histogram of
+   C_m components that the picks update in place, and build each block's
+   product DP once; then search depth-first, over (used blocks, running
+   product) states with dead states recorded, for the first composition of
+   six whole blocks, with products chosen from each block's product set,
+   that closes over the order-6 kernel;
 3. the exact sign-class DP on the whole sequence, which is complete.
 
 Every rung returns only witnesses that pass the independent verifier, and a
@@ -87,40 +89,6 @@ def family_context(g: GroupSpec) -> FamilyContext:
     return FamilyContext(group=g, n2=n2, kernel=kernel, _w=w)
 
 
-# -- class-constrained subset picking ---------------------------------------------
-
-
-def _pick_subset(seq: Sequence, class_of, m: int, budget: _Budget) -> Sequence | None:
-    """An m-term subsequence whose class values sum to 0 mod m, or None.
-
-    Deterministic: the DP resolves class counts, then concrete terms are
-    assigned in canonical element order.
-    """
-    pools: dict[int, list[tuple[Element, int]]] = {}
-    for el, cnt in seq.counts:
-        pools.setdefault(class_of(el), []).append((el, cnt))
-    pairs = sorted(pools.items())
-    entries = [(False, cls, sum(cnt for _, cnt in pool)) for cls, pool in pairs]
-    dp = _SignClassDP(entries, m, 1, m, m, budget)
-    picks = dp.pick(m, 0, 0)
-    if picks is None:
-        return None
-    picked: dict[Element, int] = {}
-    for (_, pool), (copies, _) in zip(pairs, picks):
-        if not copies:
-            continue
-        left = copies
-        for el, cnt in pool:
-            take = min(cnt, left)
-            if take:
-                picked[el] = picked.get(el, 0) + take
-                left -= take
-            if not left:
-                break
-        assert left == 0
-    return Sequence.from_counts(seq.group, picked)
-
-
 # -- decompositions ----------------------------------------------------------------
 
 
@@ -141,7 +109,7 @@ class Decomposition:
     )
 
     def x_coverage(self) -> int:
-        return sum(1 for b in self.blocks if b.x_part().length > 0)
+        return sum(1 for b in self.blocks if any(el.eps == 1 for el, _ in b.counts))
 
 
 def make_decomposition(
@@ -166,14 +134,34 @@ def extract_product_h_blocks(seq: Sequence, *, budget: int | None = None) -> Dec
     if seq.length < need:
         raise ValueError(f"need length >= {need} to pull 8 blocks, got {seq.length}")
     b = _Budget(budget)
+    left = dict(seq.counts)  # copies not yet in a block, in canonical order
+    pools: dict[int, list[Element]] = {}
+    for el, _ in seq.counts:
+        pools.setdefault(fam.component(el), []).append(el)
+    classes = sorted(pools)
+    hist = {cls: sum(left[el] for el in pools[cls]) for cls in classes}
     blocks = []
-    remaining = seq
     for _ in range(8):
-        block = _pick_subset(remaining, fam.component, n2, b)
-        assert block is not None, "block extraction guarantee violated"
-        blocks.append(block)
-        remaining = remaining.remove(block)
-    return make_decomposition(blocks, remaining, budget)
+        # the DP resolves class counts over the classes still holding terms;
+        # concrete terms are then taken in canonical element order
+        live = [cls for cls in classes if hist[cls]]
+        dp = _SignClassDP([(False, cls, hist[cls]) for cls in live], n2, 1, n2, n2, b)
+        picks = dp.pick(n2, 0, 0)
+        assert picks is not None, "block extraction guarantee violated"
+        picked = {}
+        for cls, (copies, _) in zip(live, picks):
+            hist[cls] -= copies
+            for el in pools[cls]:
+                if not copies:
+                    break
+                take = min(left[el], copies)
+                if take:
+                    picked[el] = take
+                    left[el] -= take
+                    copies -= take
+        blocks.append(Sequence(seq.group, tuple(sorted(picked.items()))))
+    remainder = Sequence(seq.group, tuple((el, cnt) for el, cnt in left.items() if cnt))
+    return make_decomposition(blocks, remainder, budget)
 
 
 def improve_x_coverage(d: Decomposition, budget: int | None = None) -> Decomposition:
@@ -260,7 +248,8 @@ def find_big_product_one(
         tr(step="y-part", hit="none")
 
     d = extract_product_h_blocks(seq, budget=budget)
-    tr(step="extract", coverage=d.x_coverage())
+    if trace is not None:
+        tr(step="extract", coverage=d.x_coverage())
     w = _stage_whole_blocks(d, fam, tr)
     if w is not None:
         return done(w, "pipeline")

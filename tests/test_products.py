@@ -350,6 +350,30 @@ def test_sign_class_kernel_matches_permutation_oracle(case):
         assert w.k == len(terms) and verify_witness(s, w, target) == (True, "ok")
 
 
+def test_saturated_subset_sum_matches_combinations_oracle():
+    # few residues with many copies fill a t = 0 slot's mask part-way through
+    # its loop over copy counts: Pi_k and the product-one lengths must equal
+    # the sums of k-subsets by position
+    rng = random.Random(5)
+    cases = []
+    for g in (mk_cyclic(5), mk_cyclic(7), G30):  # G30 with y-terms only
+        for _ in range(4):
+            residues = rng.sample(range(1, g.n), rng.randrange(2, 4))
+            cases.append((g, [Element(0, rng.choice(residues)) for _ in range(rng.randrange(10, 15))]))
+    saturated = 0
+    for g, terms in cases:
+        s = Sequence.from_terms(g, terms)
+        sums = [set() for _ in range(len(terms) + 1)]
+        for k in range(len(terms) + 1):
+            for combo in itertools.combinations(terms, k):
+                sums[k].add(sum(el.a for el in combo) % g.n)
+        for k, expect in enumerate(sums):
+            assert subproducts(s, k).members == {Element(0, a) for a in expect}
+        assert product_one_lengths(s) == [k for k in range(1, len(terms) + 1) if 0 in sums[k]]
+        saturated += any(len(expect) == g.n for expect in sums)
+    assert saturated >= len(cases) // 2
+
+
 def test_pi_set_never_lists_terms(monkeypatch):
     # pi(S) of commuting terms is a sum over the support; the term list is built
     # only when an arranger is called

@@ -13,7 +13,15 @@ from zerosum.groups import (
     mul_table,
 )
 from zerosum.sequences import Sequence, canonical_key
-from zerosum.products import ProductWitness, has_product_one, pi_set, verify_witness
+from zerosum.products import (
+    BudgetExceeded,
+    ProductWitness,
+    _Budget,
+    _SignClassDP,
+    has_product_one,
+    pi_set,
+    verify_witness,
+)
 from zerosum.repro import _length_9n2_sequence, _upper_trial
 from zerosum.witnesses import (
     WitnessSearchExhausted,
@@ -264,6 +272,78 @@ def test_whole_blocks_matches_bfs_oracle():
         assert w.k == 6 * n2
         assert verify_witness(s, w, g.identity) == (True, "ok")
     assert misses >= 1 and hits > misses
+
+
+def _pick_subset(seq, class_of, m, budget):
+    """The per-pick regrouping the one-histogram extraction replaced: an
+    m-term subsequence whose class values sum to 0 mod m, class counts from
+    the DP and terms in canonical element order."""
+    pools = {}
+    for el, cnt in seq.counts:
+        pools.setdefault(class_of(el), []).append((el, cnt))
+    pairs = sorted(pools.items())
+    entries = [(False, cls, sum(cnt for _, cnt in pool)) for cls, pool in pairs]
+    dp = _SignClassDP(entries, m, 1, m, m, budget)
+    picks = dp.pick(m, 0, 0)
+    if picks is None:
+        return None
+    picked = {}
+    for (_, pool), (copies, _) in zip(pairs, picks):
+        if not copies:
+            continue
+        left = copies
+        for el, cnt in pool:
+            take = min(cnt, left)
+            if take:
+                picked[el] = picked.get(el, 0) + take
+                left -= take
+            if not left:
+                break
+        assert left == 0
+    return Sequence.from_counts(seq.group, picked)
+
+
+def _extract_sequential(seq, budget):
+    """Eight picks, each over what the previous ones left: (blocks, remainder, spend)."""
+    fam = family_context(seq.group)
+    b = _Budget(budget)
+    blocks, remaining = [], seq
+    for _ in range(8):
+        blocks.append(_pick_subset(remaining, fam.component, fam.n2, b))
+        remaining = remaining.remove(blocks[-1])
+    return blocks, remaining, b.used
+
+
+def _outcome(run):
+    try:
+        return run()
+    except BudgetExceeded as exc:
+        return ("budget", exc.used, exc.limit)
+
+
+def test_extract_matches_sequential_oracle():
+    # the same blocks, remainder and DP spend as the sequential picks, under
+    # the pick spend U, U - 1 and the default budget
+    rng = random.Random(17)
+    inputs = []
+    for g, n2, count in ((G30, 5, 6), (G42, 7, 4), (mk_metacyclic(33, 23), 11, 2)):
+        for near_template in (False, True):
+            inputs += [_length_9n2_sequence(g, n2, rng, near_template) for _ in range(count)]
+    d6 = mk_metacyclic(3, 2)  # n2 = 1: single-term blocks
+    els = d6.elements()
+    inputs += [Sequence.from_terms(d6, (rng.choice(els) for _ in range(9))) for _ in range(3)]
+    for s in inputs:
+        blocks, remainder, used = _extract_sequential(s, None)
+        d = extract_product_h_blocks(s)
+        assert d.blocks == tuple(blocks) and d.remainder == remainder
+        for budget in (used, used - 1, None):
+
+            def oracle():
+                blocks, remainder, _ = _extract_sequential(s, budget)
+                return make_decomposition(blocks, remainder, budget)
+
+            got = _outcome(lambda: extract_product_h_blocks(s, budget=budget))
+            assert got == _outcome(oracle)
 
 
 def test_find_big_product_one_d6():
