@@ -23,10 +23,8 @@ in <y>) is a plain sum, since it has one member.
 Budgets count DP cells, n per (copies, x0 - x1, has-x) slot that a support
 entry's table fills: one per residue of Z_n in the slot's bitmask.  Exceeding
 one raises BudgetExceeded rather than truncating — exactness is the contract.
-The y-phase lanes are lists over copies 0..hi, so a query whose three lanes
-would hold more than the limit in cells raises before they are allocated:
-with at most n y-entries, the lanes then hold about one list slot per cell of
-the limit, even where the DP charges few cells.
+Tables hold only the slots a query charges, and both the forward pass and the
+backtrack visit only those, so time and memory follow the cells charged.
 """
 
 from __future__ import annotations
@@ -121,9 +119,10 @@ class _SignClassDP:
     copies, or a balance x0 - x1 in {0, 1}, are dropped as they arise.
 
     x-phase tables map copies c to {x0 - x1: mask}.  y-phase tables
-    are triples (lane0, even, odd) of lists over c: lane0 holds t = 0, where
-    y-terms take class 0 only, and even/odd hold t >= 1 by the parity of t,
-    which is the eps of the product.
+    are triples (lane0, even, odd) of maps c -> mask over the live copy
+    counts, keys ascending: lane0 holds t = 0, where y-terms take class 0
+    only, and even/odd hold t >= 1 by the parity of t, which is the eps of
+    the product.
     """
 
     def __init__(
@@ -180,15 +179,10 @@ class _SignClassDP:
             table = new
             self.xtables.append(table)
 
-        # each y-table is three lanes of hi + 1 slots: refuse before
-        # allocating lanes that hold more cells than the budget allows
-        # (single-slot lanes, hi = 0, are never more than the budget charges)
-        cells = 3 * n * (hi + 1)
-        if hi and budget.used + cells > budget.limit:
-            raise BudgetExceeded(budget.used + cells, budget.limit)
-        zeros = [0] * (hi + 1)
-        lane0 = list(zeros)
-        even, odd = list(zeros), list(zeros)
+        lane0: dict[int, int] = {}
+        even: dict[int, int] = {}
+        odd: dict[int, int] = {}
+        low0 = 0  # lane0 holds every slot in [low0, used0]
         used1 = -1  # most copies in the t >= 1 lanes; -1 while they are empty
         for c, row in table.items():
             if not c:
@@ -198,18 +192,19 @@ class _SignClassDP:
                 odd[c] = row.get(1, 0)
                 used1 = max(used1, c)
         self.ytables = [(lane0, even, odd)]
-        used0 = 0 if lane0[0] else -1  # the same for lane0
+        used0 = 0 if lane0.get(0) else -1  # the same for lane0
         for _, a, cnt in entries[len(self.xtables) - 1 :]:
             rem -= cnt
             low = lo - rem if lo > rem else 0
             slots = 0
             if used0 >= 0:
                 # t = 0: the plain bounded subset sum, class 0 only
-                old, lane0 = lane0, list(zeros)
+                old, lane0 = lane0, {}
                 top = used0 + cnt if used0 + cnt < hi else hi
                 for c in range(low, top + 1):
                     acc = 0
-                    for j in range(c - used0 if c > used0 else 0, (cnt if cnt < c else c) + 1):
+                    top_j = cnt if cnt < c - low0 else c - low0
+                    for j in range(c - used0 if c > used0 else 0, top_j + 1):
                         prev = old[c - j]
                         if prev:
                             r = a * j % n
@@ -217,52 +212,54 @@ class _SignClassDP:
                             if acc == full:
                                 break
                     lane0[c] = acc
-                used0 = top
+                used0, low0 = top, low
                 slots += max(0, top - low + 1)
             if used1 >= 0:
-                even = self._y_lane(even, used1, cnt, a, low, hi)
-                odd = self._y_lane(odd, used1, cnt, a, low, hi)
+                even = self._y_lane(even, cnt, a, low, hi)
+                odd = self._y_lane(odd, cnt, a, low, hi)
                 used1 = min(hi, used1 + cnt)
                 slots += 2 * max(0, used1 - low + 1)
             budget.spend(n * slots)
             self.ytables.append((lane0, even, odd))
 
-    def _y_lane(self, lane, used, cnt, a, low, hi):
+    def _y_lane(self, lane, cnt, a, low, hi):
         # t >= 1: j0 + j1 = cc copies add cc*a + j1*a*(s-1), so the masks of
-        # all splits of cc accumulate in w as cc grows.
+        # all splits of cc accumulate in w as cc grows from max(0, low - c).
         n = self.n
         full = (1 << n) - 1
         delta = a * (self.s - 1) % n
-        new = [0] * (hi + 1)
-        for c in range(used + 1):
-            mask = lane[c]
+        new: dict[int, int] = {}
+        for c, mask in lane.items():
             if not mask:
                 continue
+            start = low - c if low > c else 0
             w = mask
-            for cc in range(min(cnt, hi - c) + 1):
+            if delta:  # j*delta repeats with a period dividing n
+                for j in range(1, start if start < n else n):
+                    r = j * delta % n  # r = 0 rotates mask onto itself
+                    w |= ((mask << r) | (mask >> (n - r))) & full
+            for cc in range(start, min(cnt, hi - c) + 1):
                 if cc and delta:
                     r = cc * delta % n
                     if r:
                         w |= ((mask << r) | (mask >> (n - r))) & full
                 nc = c + cc
-                if nc < low:
-                    continue
                 r = cc * a % n
-                new[nc] |= ((w << r) | (w >> (n - r))) & full if r else w
+                new[nc] = new.get(nc, 0) | (((w << r) | (w >> (n - r))) & full if r else w)
         return new
 
     def reachable(self, k: int) -> tuple[int, int]:
         """Masks of the y-exponents reachable with k copies, for eps 0 and 1."""
         lane0, even, odd = self.ytables[-1]
-        return lane0[k] | even[k], odd[k]
+        return lane0.get(k, 0) | even.get(k, 0), odd.get(k, 0)
 
     def pick(self, k: int, eps: int, target: int) -> list[tuple[int, int]] | None:
         """(j0, j1) class counts per entry realizing (eps, target) with k copies."""
         n, s = self.n, self.s
         lane0, even, odd = self.ytables[-1]
-        if eps == 0 and lane0[k] >> target & 1:
+        if eps == 0 and lane0.get(k, 0) >> target & 1:
             lane = 0
-        elif (odd if eps else even)[k] >> target & 1:
+        elif (odd if eps else even).get(k, 0) >> target & 1:
             lane = 1 + eps
         else:
             return None
@@ -273,8 +270,11 @@ class _SignClassDP:
             _, a, cnt = self.entries[nx + i - 1]
             prev = self.ytables[i - 1][lane]
             delta = a * (s - 1) % n if lane else 0
-            for cc in range(min(cnt, c) + 1):
-                for j1 in range(cc + 1 if lane else 1):
+            # keys ascend, so cc rises; the first working j1 lies below n
+            for cc in (c - key for key in reversed(prev) if key <= c):
+                if cc > cnt:
+                    break
+                for j1 in range((cc + 1 if cc < n else n) if lane else 1):
                     want = (v - cc * a - j1 * delta) % n
                     if prev[c - cc] >> want & 1:
                         break

@@ -1,5 +1,7 @@
 import itertools
 import random
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -281,14 +283,32 @@ def test_budget_contract(monkeypatch):
         has_product_one(s, 3)
 
 
-def test_lane_allocation_is_budgeted():
-    # lo = hi prunes the cells the y-phase charges, not the hi + 1-slot lanes
-    # it allocates: the lanes alone must fit the budget
+def test_kernel_memory_follows_budget():
+    # the y-lanes hold only the copy counts a query charges: 2 * 10**6 copies
+    # of two y-terms cost 75 cells, not lanes over every count up to the length
     s = Sequence.from_counts(G30, {Element(0, 1): 10**6, Element(0, 2): 10**6, Element(1, 3): 1})
+    expect = {Element(1, 3), Element(1, 8), Element(1, 13)}
+    assert pi_set(s, budget=75) == expect
     with pytest.raises(BudgetExceeded) as info:
-        pi_set(s, budget=1000)
-    assert info.value.limit == 1000 and info.value.used > 3 * 15 * 2 * 10**6
-    # single-slot lanes (hi = 0) skip the check: the empty sequence still spends nothing
+        pi_set(s, budget=74)
+    assert info.value.used == 75 and info.value.limit == 74
+    tracemalloc.start()
+    try:
+        assert pi_set(s) == expect
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # the backtrack visits the same live slots, so arranging 4001 terms is quick
+    s = Sequence.from_counts(G30, {Element(0, 1): 2000, Element(0, 2): 2000, Element(1, 3): 1})
+    start = time.perf_counter()
+    members, arrange = products_with_arranger(s)
+    arrangements = [(target, arrange(target)) for target in members]
+    assert time.perf_counter() - start < 0.5
+    assert members == expect
+    for target, arr in arrangements:
+        assert verify_witness(s, ProductWitness(arr, target), target) == (True, "ok")
+    # the empty sequence still spends nothing
     empty = Sequence.from_terms(G30, [])
     assert subproducts(empty, 0, budget=0).members == {G30.identity}
     assert pi_set(empty, budget=0) == {G30.identity}
@@ -311,6 +331,89 @@ def _oracle_by_length(g, terms):
             prods.add(prod)
         out[k] = prods
     return out
+
+
+def _sign_class_oracle(g, counts):
+    """Pi_k for every k, as sets, from the class rule: t x-terms split
+    ceil(t/2) into class 0 and floor(t/2) into class 1, y-terms take either
+    class only when t >= 1, and a term x^e y^a in class c adds a*s^c."""
+    n, s = g.n, g.s
+    xs = [el.a for el, m in counts.items() if el.eps for _ in range(m)]
+    xsums = set()  # (t, sum) over x-terms chosen by position
+    for t in range(1, len(xs) + 1):
+        for chosen in itertools.combinations(range(len(xs)), t):
+            for ones in itertools.combinations(chosen, t // 2):
+                xsums.add((t, sum(xs[i] * (s if i in ones else 1) for i in chosen) % n))
+    only0, either = {(0, 0)}, {(0, 0)}  # (copies, sum) over y-terms
+    for el, m in counts.items():
+        if not el.eps:
+            a = el.a
+            opts0 = {(j, j * a % n) for j in range(m + 1)}
+            opts = {
+                (j0 + j1, (j0 + j1 * s) * a % n) for j0 in range(m + 1) for j1 in range(m + 1 - j0)
+            }
+            only0 = {(c + j, (v + w) % n) for c, v in only0 for j, w in opts0}
+            either = {(c + j, (v + w) % n) for c, v in either for j, w in opts}
+    out = {}
+    for c, v in only0:
+        out.setdefault(c, set()).add(Element(0, v))
+    for t, xv in xsums:
+        for c, v in either:
+            out.setdefault(t + c, set()).add(Element(t % 2, (xv + v) % n))
+    return out
+
+
+def test_windowed_lanes_match_sign_class_oracle():
+    # y-entries with 16-40 copies and k near the length start the t >= 1
+    # lanes more than n copies into an entry, past where its rotations
+    # repeat; over D18 a lone y^1 entry rotates with period n itself
+    rng = random.Random(24)
+    cases = [(mk_metacyclic(9, 8), {Element(0, 1): 20, Element(1, 1): 1})]
+    for g in (G30, mk_metacyclic(8, 3), mk_metacyclic(12, 7)):
+        els = g.elements()
+        for _ in range(2):
+            ys = rng.sample(els[1 : g.n], rng.randint(2, 3))
+            counts = {el: rng.randint(16, 40) for el in ys}
+            for el in rng.choices(els[g.n :], k=rng.randint(1, 3)):
+                counts[el] = counts.get(el, 0) + 1
+            cases.append((g, counts))
+    for g, counts in cases:
+        s = Sequence.from_counts(g, counts)
+        expect = _sign_class_oracle(g, counts)
+        length = s.length
+        for k in (length, length - rng.randint(1, 3), length // 2):
+            assert subproducts(s, k).members == expect[k]
+            for target in g.elements():
+                w = find_arrangement(s, k, target)
+                if target in expect[k]:
+                    assert w.k == k and verify_witness(s, w, target) == (True, "ok")
+                else:
+                    assert w is None
+        assert product_one_lengths(s) == [
+            k for k in range(1, length + 1) if g.identity in expect[k]
+        ]
+    # pinned cells of four queries: each answers under exactly that budget
+    # and raises one cell below it
+    g8, g12 = mk_metacyclic(8, 3), mk_metacyclic(12, 7)
+    s1 = Sequence.from_counts(G30, {Element(1, 1): 10**4, Element(0, 1): 10**4})
+    s2 = Sequence.from_counts(
+        g8, {Element(0, 1): 40, Element(0, 3): 17, Element(1, 2): 1, Element(1, 5): 1}
+    )
+    s3 = Sequence.from_counts(
+        g12, {Element(0, 5): 23, Element(0, 2): 31, Element(0, 9): 16, Element(1, 4): 2}
+    )
+    s4 = Sequence.from_counts(G30, {Element(0, 4): 20, Element(0, 7): 18, Element(1, 3): 3})
+    queries = [
+        (150_060, lambda b: subproducts(s1, 10**4, budget=b)),
+        (504, lambda b: subproducts(s2, 29, budget=b)),
+        (240, lambda b: find_arrangement(s3, 70, g12.identity, budget=b)),
+        (2895, lambda b: product_one_lengths(s4, budget=b)),
+    ]
+    for cells, query in queries:
+        query(cells)
+        with pytest.raises(BudgetExceeded) as info:
+            query(cells - 1)
+        assert (info.value.used, info.value.limit) == (cells, cells - 1)
 
 
 @st.composite
