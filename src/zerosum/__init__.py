@@ -10,7 +10,7 @@ from .groups import (
     parse_group,
     stabilizer,
 )
-from .sequences import Sequence, canonical_key, parse_sequence_file
+from .sequences import Sequence, parse_sequence_file
 from .products import (
     BudgetExceeded,
     ProductWitness,
@@ -43,7 +43,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Element", "GroupSpec", "Subgroup", "factorize", "mk_cyclic",
     "mk_metacyclic", "parse_group", "stabilizer",
-    "Sequence", "canonical_key", "parse_sequence_file",
+    "Sequence", "parse_sequence_file",
     "BudgetExceeded", "ProductWitness", "SubproductSet", "find_arrangement",
     "has_product_one", "pi_set", "subproducts", "verify_witness",
     "DgmReport", "dgm_check",

@@ -370,6 +370,7 @@ def _cmd_witness(args, out: _Out) -> int:
 
 def _cmd_repro(args, out: _Out) -> int:
     jobs = _jobs(args)
+    resolve_budget()  # a bad ZEROSUM_BUDGET is a usage error, not a failed trial
     t0 = time.time()
     results = repro.run_suite(args.suite, seed=args.seed, jobs=jobs)
     failed = 0

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .groups import CYCLIC, Element, GroupSpec, METACYCLIC
-from .sequences import Sequence, canonical_key
+from .sequences import Sequence
 from .products import has_product_one, product_one_lengths
 
 TEMPLATE_CYCLIC = "cyclic_two_block"
@@ -102,12 +102,8 @@ def apply_automorphism(seq: Sequence, perm: tuple[int, ...]) -> Sequence:
     )
 
 
-def orbit_sequences(seq: Sequence) -> list[Sequence]:
-    out = {}
-    for p in automorphisms(seq.group):
-        img = apply_automorphism(seq, p)
-        out[canonical_key(img)] = img
-    return [out[k] for k in sorted(out)]
+def orbit_sequences(seq: Sequence) -> set[Sequence]:
+    return {apply_automorphism(seq, p) for p in automorphisms(seq.group)}
 
 
 # -- enumeration -----------------------------------------------------------------
@@ -118,12 +114,14 @@ def _counts_sequence(g: GroupSpec, counts: tuple[int, ...]) -> Sequence:
 
 
 def _free_levels(
-    g: GroupSpec, k: int | None, last: int, ceiling: int, budget: int | None
+    g: GroupSpec, k: int | None, last: int, budget: int | None
 ) -> Iterator[list[tuple[int, ...]]]:
     """The free orbits of lengths 0..last, one level per length, up to the first
     empty level.  A multiset is its tuple of multiplicities by element index; an
     orbit is its greatest tuple (its least sorted image), and a level lists its
-    orbits in descending order."""
+    orbits in descending order.  A level, or the first tested one's estimate,
+    over DEFAULT_CEILING candidates raises InfeasibleSize."""
+    ceiling = DEFAULT_CEILING
     order = g.order
     images = [operator.itemgetter(*sorted(range(order), key=p.__getitem__)) for p in automorphisms(g)]
 
@@ -161,12 +159,7 @@ def _free_levels(
 
 
 def enumerate_free(
-    g: GroupSpec,
-    length: int | None,
-    k: int | None,
-    *,
-    ceiling: int = DEFAULT_CEILING,
-    budget: int | None = None,
+    g: GroupSpec, length: int | None, k: int | None, *, budget: int | None = None
 ) -> list[Sequence]:
     """All k-product-one-free sequences of the given length, one
     representative per automorphism orbit, in canonical order.  Length None
@@ -175,31 +168,45 @@ def enumerate_free(
         raise ValueError(f"length {length} is negative")
     cap = 3 * g.order + 1 if length is None else length
     found: list[tuple[int, ...]] = []
-    for level in _free_levels(g, k, cap, ceiling, budget):
+    for level in _free_levels(g, k, cap, budget):
         if level or length is not None:
             found = level
     if level and length is None:  # still not empty at the cap
-        raise InfeasibleSize(math.comb(cap + g.order, g.order - 1) if g.order > 1 else cap, ceiling)
+        raise InfeasibleSize(
+            math.comb(cap + g.order, g.order - 1) if g.order > 1 else cap, DEFAULT_CEILING
+        )
     return [_counts_sequence(g, c) for c in found]
 
 
-def gao_constant(
-    g: GroupSpec, *, ceiling: int = DEFAULT_CEILING, budget: int | None = None
-) -> ConstantReport:
+def gao_constant(g: GroupSpec, *, budget: int | None = None) -> ConstantReport:
     """Exact E(G): least length forcing a |G|-product-one subsequence."""
-    certs = tuple(enumerate_free(g, None, g.order, ceiling=ceiling, budget=budget))
+    certs = tuple(enumerate_free(g, None, g.order, budget=budget))
     return ConstantReport(group=g, constant="gao", value=certs[0].length + 1, certificates=certs)
 
 
-def davenport_constant(
-    g: GroupSpec, *, ceiling: int = DEFAULT_CEILING, budget: int | None = None
-) -> ConstantReport:
+def davenport_constant(g: GroupSpec, *, budget: int | None = None) -> ConstantReport:
     """Exact small Davenport constant d(G): maximal product-one-free length."""
-    certs = tuple(enumerate_free(g, None, None, ceiling=ceiling, budget=budget))
+    certs = tuple(enumerate_free(g, None, None, budget=budget))
     return ConstantReport(group=g, constant="davenport", value=certs[0].length, certificates=certs)
 
 
 # -- templates ---------------------------------------------------------------------
+
+
+def template_terms(g: GroupSpec, t1: int, t2: int, *xs: int) -> list[tuple[Element, int]]:
+    """The (element, copies) list y^t1 * (2n-1), y^t2 * (n-1), x*y^b * 1 for
+    each b in xs, in this order: the two-block shape, plus its reflections."""
+    n = g.n
+    return [(Element(0, t1 % n), 2 * n - 1), (Element(0, t2 % n), n - 1)] + [
+        (Element(1, b % n), 1) for b in xs
+    ]
+
+
+_D6_TERMS = {Element(0, 0): 5, Element(1, 0): 1, Element(1, 1): 1, Element(1, 2): 1}
+
+
+def _is_d6(g: GroupSpec) -> bool:
+    return g.kind == METACYCLIC and g.n == 3 and not g.is_abelian
 
 
 def check_template(seq: Sequence) -> TemplateMatch | None:
@@ -211,90 +218,53 @@ def check_template(seq: Sequence) -> TemplateMatch | None:
     reparametrizing t1, t2, t3.
     """
     g = seq.group
-    n = g.n
-    if n < 2:
+    if g.kind == METACYCLIC and g.is_abelian:
         return None
-    counts = dict(seq.counts)
+    if _is_d6(g) and seq == Sequence.from_counts(g, _D6_TERMS):
+        return TemplateMatch(TEMPLATE_D6, (Element(1, 0), Element(0, 1)), ())
+    # t1 has the most copies, a metacyclic template has one reflection, and
+    # template_terms fixes every multiplicity
+    ys = sorted(((m, el.a) for el, m in seq.counts if el.eps == 0), reverse=True)
+    xs = tuple(el.a for el, _ in seq.counts if el.eps == 1)
+    if len(ys) != 2 or len(xs) != (g.kind == METACYCLIC):
+        return None
+    (_, t1), (_, t2) = ys
+    if math.gcd(t1 - t2, g.n) != 1 or seq != Sequence.from_counts(g, template_terms(g, t1, t2, *xs)):
+        return None
     if g.kind == CYCLIC:
-        if len(counts) != 2:
-            return None
-        by_mult = {m: el for el, m in counts.items()}
-        if set(by_mult) != {2 * n - 1, n - 1}:
-            return None
-        a1, a2 = by_mult[2 * n - 1].a, by_mult[n - 1].a
-        if math.gcd(a1 - a2, n) != 1:
-            return None
-        return TemplateMatch(TEMPLATE_CYCLIC, (Element(0, 1),), (a1, a2))
-
-    if g.kind != METACYCLIC or g.is_abelian:
-        return None
-
-    if n == 3:
-        want = {Element(0, 0): 5, Element(1, 0): 1, Element(1, 1): 1, Element(1, 2): 1}
-        if counts == want:
-            return TemplateMatch(TEMPLATE_D6, (Element(1, 0), Element(0, 1)), ())
-
-    if len(counts) != 3:
-        return None
-    xs = [(el, m) for el, m in counts.items() if el.eps == 1]
-    ys = [(el, m) for el, m in counts.items() if el.eps == 0]
-    if len(xs) != 1 or xs[0][1] != 1 or len(ys) != 2:
-        return None
-    by_mult = {m: el for el, m in ys}
-    if set(by_mult) != {2 * n - 1, n - 1}:
-        return None
-    a1, a2 = by_mult[2 * n - 1].a, by_mult[n - 1].a
-    if math.gcd(a1 - a2, n) != 1:
-        return None
-    return TemplateMatch(TEMPLATE_METACYCLIC, (Element(1, 0), Element(0, 1)), (a1, a2, xs[0][0].a))
+        return TemplateMatch(TEMPLATE_CYCLIC, (Element(0, 1),), (t1, t2))
+    return TemplateMatch(TEMPLATE_METACYCLIC, (Element(1, 0), Element(0, 1)), (t1, t2) + xs)
 
 
 def template_instances(g: GroupSpec, name: str) -> Iterator[Sequence]:
     """All sequences matching a template over g, without repetition."""
     n = g.n
+    if name == TEMPLATE_D6:
+        if _is_d6(g):
+            yield Sequence.from_counts(g, _D6_TERMS)
+        return
     if name == TEMPLATE_CYCLIC:
-        if g.kind != CYCLIC:
-            return
-        for a1 in range(n):
-            for a2 in range(n):
-                if math.gcd(a1 - a2, n) == 1:
-                    yield Sequence.from_counts(
-                        g, {Element(0, a1): 2 * n - 1, Element(0, a2): n - 1}
-                    )
+        xs_choices = [()] if g.kind == CYCLIC else []
     elif name == TEMPLATE_METACYCLIC:
-        if g.kind != METACYCLIC or g.is_abelian:
-            return
-        for a1 in range(n):
-            for a2 in range(n):
-                if math.gcd(a1 - a2, n) != 1:
-                    continue
-                for b in range(n):
-                    yield Sequence.from_counts(
-                        g,
-                        {Element(0, a1): 2 * n - 1, Element(0, a2): n - 1, Element(1, b): 1},
-                    )
-    elif name == TEMPLATE_D6:
-        if g.kind == METACYCLIC and n == 3 and not g.is_abelian:
-            yield Sequence.from_counts(
-                g,
-                {Element(0, 0): 5, Element(1, 0): 1, Element(1, 1): 1, Element(1, 2): 1},
-            )
+        xs_choices = [(b,) for b in range(n)] if g.kind == METACYCLIC and not g.is_abelian else []
     else:
         raise ValueError(f"unknown template {name!r}")
+    if n < 2 or not xs_choices:  # at n = 1, y^t1 and y^t2 coincide
+        return
+    for t1 in range(n):
+        for t2 in range(n):
+            if math.gcd(t1 - t2, n) == 1:
+                for xs in xs_choices:
+                    yield Sequence.from_counts(g, template_terms(g, t1, t2, *xs))
 
 
 def classify_extremal(
-    g: GroupSpec,
-    length: int,
-    k: int,
-    *,
-    ceiling: int = DEFAULT_CEILING,
-    budget: int | None = None,
+    g: GroupSpec, length: int, k: int, *, budget: int | None = None
 ) -> list[ExtremalFamily]:
     """Group all k-product-one-free sequences of the given length into
     automorphism-orbit representatives and match each against the templates."""
     buckets: dict[str, list[Sequence]] = {}
-    for rep in enumerate_free(g, length, k, ceiling=ceiling, budget=budget):
+    for rep in enumerate_free(g, length, k, budget=budget):
         match = check_template(rep)
         buckets.setdefault("unmatched" if match is None else match.name, []).append(rep)
     return [ExtremalFamily(name, tuple(buckets[name])) for name in sorted(buckets)]

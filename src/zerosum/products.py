@@ -16,9 +16,8 @@ one table per support entry so that a backtrack recovers the (j0, j1) class
 counts of every entry, and from them a witness ordering.  Over <y>, or over a
 cyclic group, no x-term exists and the DP is the plain subset sum (t = 0).
 Its loop over the copies of an entry stops once a slot's mask is full.
-Empty sequences and k = 0 take the same path, with no special case around
-the kernel; only pi(S) of commuting terms (an abelian group, or every term
-in <y>) is a plain sum, since it has one member.
+Empty sequences, k = 0 and pi(S) of commuting terms take the same path, with
+no special case around the kernel.
 
 Budgets count DP cells, n per (copies, x0 - x1, has-x) slot that a support
 entry's table fills: one per residue of Z_n in the slot's bitmask.  Exceeding
@@ -368,31 +367,14 @@ def products_with_arranger(
     seq: Sequence, budget: int | None = None
 ) -> tuple[frozenset[Element], Callable[[Element], tuple[Element, ...]]]:
     """pi(S) plus a deterministic arranger: target -> ordered full arrangement."""
-    g = seq.group
-    b = _Budget(budget)
     length = seq.length
-    if g.is_abelian or all(el.eps == 0 for el, _ in seq.counts):
-        # the terms commute: one product, which every ordering realizes
-        eps = a = 0
-        for el, m in seq.counts:
-            eps ^= el.eps & m
-            a = (a + el.a * m) % g.n
-        members = frozenset([Element(eps, a)])
-
-        def order(target: Element) -> tuple[Element, ...]:
-            return tuple(seq.terms())
-
-    else:
-        support, dp = _sequence_dp(seq, length, length, b)
-        members = _members(g, dp, length)
-
-        def order(target: Element) -> tuple[Element, ...]:
-            return _arrange(support, dp.pick(length, target.eps, target.a))
+    support, dp = _sequence_dp(seq, length, length, _Budget(budget))
+    members = _members(seq.group, dp, length)
 
     def arrange(target: Element) -> tuple[Element, ...]:
         if target not in members:
             raise KeyError(f"{format_element(target)} not in pi(S)")
-        return order(target)
+        return _arrange(support, dp.pick(length, target.eps, target.a))
 
     return members, arrange
 

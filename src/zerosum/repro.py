@@ -14,8 +14,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .groups import Element, GroupSpec, mk_cyclic, mk_metacyclic, format_group
-from .sequences import Sequence, canonical_key, format_sequence
-from .products import has_product_one, pi_set, subproducts, verify_witness
+from .sequences import Sequence, format_sequence
+from .products import BudgetExceeded, has_product_one, pi_set, subproducts, verify_witness
 from .bounds import dgm_check
 from .constants import (
     TEMPLATE_CYCLIC,
@@ -28,6 +28,7 @@ from .constants import (
     gao_constant,
     orbit_sequences,
     template_instances,
+    template_terms,
 )
 from .witnesses import (
     WitnessSearchExhausted,
@@ -109,13 +110,11 @@ def crit_inverse_cyclic() -> CriterionResult:
     rows = []
     for n in (3, 4, 5):
         g = mk_cyclic(n)
-        free_keys = {
-            canonical_key(s) for rep in enumerate_free(g, 3 * n - 2, 2 * n) for s in orbit_sequences(rep)
-        }
-        tmpl_keys = {canonical_key(s) for s in template_instances(g, TEMPLATE_CYCLIC)}
-        good = free_keys == tmpl_keys
+        free = {s for rep in enumerate_free(g, 3 * n - 2, 2 * n) for s in orbit_sequences(rep)}
+        tmpl = set(template_instances(g, TEMPLATE_CYCLIC))
+        good = free == tmpl
         ok &= good
-        rows.append(f"inverse group=\"cyclic n={n}\" free={len(free_keys)} template={len(tmpl_keys)} equal={str(good).lower()}")
+        rows.append(f"inverse group=\"cyclic n={n}\" free={len(free)} template={len(tmpl)} equal={str(good).lower()}")
     return CriterionResult(
         "inverse-cyclic", ok, "2n-product-one-free length-(3n-2) sequences = two-block template set", rows
     )
@@ -125,32 +124,17 @@ def crit_inverse_d6() -> CriterionResult:
     fams = classify_extremal(D6, 8, 6)
     names = {f.template for f in fams}
     good_names = names == {TEMPLATE_METACYCLIC, TEMPLATE_D6}
-    free_keys = set()
-    for f in fams:
-        for rep in f.representatives:
-            free_keys |= {canonical_key(s) for s in orbit_sequences(rep)}
-    tmpl_keys = {canonical_key(s) for s in template_instances(D6, TEMPLATE_METACYCLIC)}
-    tmpl_keys |= {canonical_key(s) for s in template_instances(D6, TEMPLATE_D6)}
-    good = good_names and free_keys == tmpl_keys
+    free = {s for f in fams for rep in f.representatives for s in orbit_sequences(rep)}
+    tmpl = set(template_instances(D6, TEMPLATE_METACYCLIC)) | set(template_instances(D6, TEMPLATE_D6))
+    good = good_names and free == tmpl
     rows = [
         f"inverse group=\"{format_group(D6)}\" families={','.join(sorted(names))} "
-        f"free={len(free_keys)} template={len(tmpl_keys)} equal={str(good).lower()}"
+        f"free={len(free)} template={len(tmpl)} equal={str(good).lower()}"
     ]
     return CriterionResult("inverse-d6", good, "6-product-one-free length-8 sequences: exactly the two families", rows)
 
 
 # -- the 9*n2 threshold and its extremal shapes ------------------------------------------
-
-
-def _template_sequence(g: GroupSpec, n2: int, t1: int, t2: int, t3: int) -> Sequence:
-    return Sequence.from_counts(
-        g,
-        [
-            (Element(0, t1 % g.n), 6 * n2 - 1),
-            (Element(0, t2 % g.n), 3 * n2 - 1),
-            (Element(1, t3 % g.n), 1),
-        ],
-    )
 
 
 def crit_lower_direction(seed: int = DEFAULT_SEED) -> CriterionResult:
@@ -168,13 +152,13 @@ def crit_lower_direction(seed: int = DEFAULT_SEED) -> CriterionResult:
             elif d > 1 and len(busy_params) < LOWER_PER_GROUP:
                 busy_params.append((t1, t2, t3))
         free_ok = 0
-        for t1, t2, t3 in free_params:
-            s = _template_sequence(g, n2, t1, t2, t3)
+        for params in free_params:
+            s = Sequence.from_counts(g, template_terms(g, *params))
             if has_product_one(s, 6 * n2) is None:
                 free_ok += 1
         busy_ok = 0
-        for t1, t2, t3 in busy_params:
-            s = _template_sequence(g, n2, t1, t2, t3)
+        for params in busy_params:
+            s = Sequence.from_counts(g, template_terms(g, *params))
             w = has_product_one(s, 6 * n2)
             if w is not None and verify_witness(s, w)[0]:
                 busy_ok += 1
@@ -198,10 +182,7 @@ def _length_9n2_sequence(g: GroupSpec, n2: int, rng: random.Random, near_templat
         return Sequence.from_terms(g, [els[rng.randrange(len(els))] for _ in range(9 * n2)])
     t2 = rng.randrange(n)
     t1 = (t2 + 1) % n  # gcd(t1 - t2, n) = gcd(1, n) = 1 keeps the template free
-    terms = (
-        [Element(0, t1)] * (6 * n2 - 1) + [Element(0, t2)] * (3 * n2 - 1)
-        + [Element(1, rng.randrange(n))]
-    )
+    terms = [el for el, m in template_terms(g, t1, t2, rng.randrange(n)) for _ in range(m)]
     for _ in range(rng.randrange(1, 5)):
         terms[rng.randrange(len(terms))] = els[rng.randrange(len(els))]
     terms.append(els[rng.randrange(len(els))])
@@ -213,6 +194,8 @@ def _witness_outcome(s: Sequence, k: int) -> tuple[bool, str]:
     trace: list[str] = []
     try:
         w = find_big_product_one(s, trace=trace)
+    except BudgetExceeded:
+        raise  # an exhausted budget is no verdict on the theorem
     except Exception as exc:  # noqa: BLE001 - tallied, not hidden
         return False, type(exc).__name__
     ok, reason = verify_witness(s, w)
@@ -293,11 +276,13 @@ def _wide_trial(args) -> tuple[bool, str]:
         return _witness_outcome(_length_9n2_sequence(g, n2, rng, kind == "near-template"), 6 * n2)
     t2 = rng.randrange(g.n)
     t1 = rng.choice([t for t in range(g.n) if math.gcd(t - t2, g.n) == 1])
-    s = _template_sequence(g, n2, t1, t2, rng.randrange(g.n))
+    s = Sequence.from_counts(g, template_terms(g, t1, t2, rng.randrange(g.n)))
     try:
         find_big_product_one(s)
     except WitnessSearchExhausted:
         return True, "exhausted"
+    except BudgetExceeded:
+        raise
     except Exception as exc:  # noqa: BLE001 - tallied, not hidden
         return False, type(exc).__name__
     return False, "witness-on-free-template"
@@ -452,28 +437,25 @@ def crit_oracle(seed: int = DEFAULT_SEED, jobs: int = 1) -> CriterionResult:
 # -- suites ------------------------------------------------------------------------------
 
 
+SUITES = {
+    "cyclic": lambda seed, jobs: [crit_gao_cyclic(), crit_inverse_cyclic(), crit_identity()],
+    "d6": lambda seed, jobs: [crit_gao_d6(), crit_inverse_d6()],
+    "main-theorem": lambda seed, jobs: [
+        crit_lower_direction(seed),
+        crit_upper_sampled(seed, jobs=jobs),
+        crit_inverse_sampled(seed, jobs=jobs),
+        crit_structure(seed),
+    ],
+    "main-theorem-wide": lambda seed, jobs: [crit_main_theorem_wide(seed, jobs=jobs)],
+    "dgm": lambda seed, jobs: [crit_dgm(seed, jobs=jobs), crit_oracle(seed, jobs=jobs)],
+    "all": lambda seed, jobs: [
+        r for part in ("cyclic", "d6", "main-theorem", "dgm") for r in SUITES[part](seed, jobs)
+    ],
+}
+SUITE_NAMES = tuple(SUITES)
+
+
 def run_suite(name: str, seed: int = DEFAULT_SEED, jobs: int = 1) -> list[CriterionResult]:
-    if name == "cyclic":
-        return [crit_gao_cyclic(), crit_inverse_cyclic(), crit_identity()]
-    if name == "d6":
-        return [crit_gao_d6(), crit_inverse_d6()]
-    if name == "main-theorem":
-        return [
-            crit_lower_direction(seed),
-            crit_upper_sampled(seed, jobs=jobs),
-            crit_inverse_sampled(seed, jobs=jobs),
-            crit_structure(seed),
-        ]
-    if name == "main-theorem-wide":
-        return [crit_main_theorem_wide(seed, jobs=jobs)]
-    if name == "dgm":
-        return [crit_dgm(seed, jobs=jobs), crit_oracle(seed, jobs=jobs)]
-    if name == "all":
-        out = []
-        for part in ("cyclic", "d6", "main-theorem", "dgm"):
-            out.extend(run_suite(part, seed, jobs))
-        return out
-    raise ValueError(f"unknown suite {name!r} (choose {', '.join(SUITE_NAMES)})")
-
-
-SUITE_NAMES = ("cyclic", "d6", "main-theorem", "main-theorem-wide", "dgm", "all")
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r} (choose {', '.join(SUITE_NAMES)})")
+    return SUITES[name](seed, jobs)

@@ -3,8 +3,8 @@
 A sequence is an unordered multiset of group elements with concatenation as
 the monoid operation.  Multiplicities are stored sparsely, since the extremal
 objects here have tiny support but large multiplicities.  A fixed total order
-on elements ((eps, a) lexicographic) backs canonical keys, deterministic
-enumeration, and reproducible output.
+on elements ((eps, a) lexicographic) keeps counts sorted, so equality and
+hashing are exact, enumeration is deterministic and output reproducible.
 
 Sequence file format (UTF-8 text, one sequence per file)::
 
@@ -147,14 +147,6 @@ class Sequence:
     def x_part(self) -> "Sequence":
         """Terms from the coset x<y> (eps = 1)."""
         return Sequence(self.group, tuple((el, m) for el, m in self.counts if el.eps == 1))
-
-
-def canonical_key(seq: Sequence) -> bytes:
-    """Equal multisets over the same group get equal keys, and only those."""
-    g = seq.group
-    head = f"{g.kind}:{g.n}:{g.s}|"
-    body = ";".join(f"{el.eps},{el.a}*{m}" for el, m in seq.counts)
-    return (head + body).encode("ascii")
 
 
 # -- file format ----------------------------------------------------------------

@@ -110,10 +110,13 @@ def test_dgm_single(capsys, tmp_path):
 
 
 def test_repro_dgm_budget_exit_across_jobs(capsys, monkeypatch):
-    # the BudgetExceeded raised in a worker process reaches the CLI intact
+    # the BudgetExceeded raised in a worker process reaches the CLI intact, and
+    # no suite tallies it as a failed trial
     monkeypatch.setenv("ZEROSUM_BUDGET", "1")
-    code, _, err = run(capsys, "repro", "dgm", "--jobs", "2")
-    assert code == EXIT_BUDGET and "limit 1" in err and "ZEROSUM_BUDGET" in err
+    for suite in ("dgm", "main-theorem-wide"):
+        code, out, err = run(capsys, "repro", suite, "--jobs", "2")
+        assert code == EXIT_BUDGET and "limit 1" in err and "ZEROSUM_BUDGET" in err, suite
+        assert "failures=" not in out
 
 
 def test_repro_bad_jobs_is_usage_error(capsys):
@@ -231,6 +234,8 @@ def test_bad_budget_is_usage_error(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("ZEROSUM_BUDGET", "abc")
     code, _, err = run(capsys, "pi", "--seq", str(p))
     assert code == EXIT_USAGE and "ZEROSUM_BUDGET" in err
+    code, out, err = run(capsys, "repro", "main-theorem-wide")
+    assert code == EXIT_USAGE and "ZEROSUM_BUDGET" in err and out == ""
 
 
 def test_budget_exit_reports_cells_used(capsys, tmp_path):

@@ -1,10 +1,12 @@
 import itertools
 import math
+import random
 
 import pytest
 
-from zerosum.groups import Element, mk_cyclic, mk_metacyclic
-from zerosum.sequences import Sequence, canonical_key
+from zerosum.groups import CYCLIC, Element, mk_cyclic, mk_metacyclic
+from zerosum import constants
+from zerosum.sequences import Sequence
 from zerosum.constants import (
     InfeasibleSize,
     TEMPLATE_CYCLIC,
@@ -19,6 +21,7 @@ from zerosum.constants import (
     gao_constant,
     orbit_sequences,
     template_instances,
+    template_terms,
 )
 from zerosum.products import has_product_one, product_one_lengths
 
@@ -73,15 +76,15 @@ def test_automorphism_group_sizes():
                     assert lhs == rhs
 
 
-def _unpruned_free_keys(g, length, k):
+def _unpruned_free_set(g, length, k):
     """Oracle: every multiset of the length, tested one by one, no orbits."""
-    keys = set()
+    out = set()
     for combo in itertools.combinations_with_replacement(g.elements(), length):
         seq = Sequence.from_terms(g, combo)
         free = not product_one_lengths(seq) if k is None else has_product_one(seq, k) is None
         if free:
-            keys.add(canonical_key(seq))
-    return keys
+            out.add(seq)
+    return out
 
 
 @pytest.mark.parametrize(
@@ -93,9 +96,9 @@ def test_level_enumeration_matches_unpruned_oracle(g):
     for k, last in top.items():
         for length in range(last + 1):
             reps = enumerate_free(g, length, k)
-            expanded = {canonical_key(s) for rep in reps for s in orbit_sequences(rep)}
+            expanded = {s for rep in reps for s in orbit_sequences(rep)}
             assert len(expanded) == sum(len(orbit_sequences(rep)) for rep in reps)
-            assert expanded == _unpruned_free_keys(g, length, k), (k, length)
+            assert expanded == _unpruned_free_set(g, length, k), (k, length)
 
 
 def test_classify_d6():
@@ -156,11 +159,53 @@ def test_template_instances_are_free():
     assert list(template_instances(D6, TEMPLATE_CYCLIC)) == []
 
 
+TEMPLATE_GROUPS = [mk_cyclic(n) for n in range(1, 9)] + [
+    D6,
+    mk_metacyclic(4, 3),  # D8
+    mk_metacyclic(5, 4),  # D10
+    mk_metacyclic(3, 1),  # C3 x C2
+    mk_metacyclic(8, 3),
+    mk_metacyclic(15, 11),  # G30
+]
+TEMPLATE_IDS = ["C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "D6", "D8", "D10", "C3xC2", "n8s3", "G30"]
+
+
+@pytest.mark.parametrize("g", TEMPLATE_GROUPS, ids=TEMPLATE_IDS)
+def test_template_generator_and_matcher_agree(g):
+    instances = set()
+    for name in (TEMPLATE_CYCLIC, TEMPLATE_METACYCLIC, TEMPLATE_D6):
+        found = list(template_instances(g, name))
+        assert len(set(found)) == len(found)
+        for s in found:
+            m = check_template(s)
+            assert m is not None and m.name == name
+            if name != TEMPLATE_D6:  # the parameters rebuild the sequence
+                assert Sequence.from_counts(g, template_terms(g, *m.params)) == s
+        instances.update(found)
+    if g.n < 2:  # y^t1 and y^t2 would coincide
+        assert instances == set()
+    # a match exactly when the sequence is an instance: on raw template shapes
+    # with any parameters and 0-2 reflections, and on instances with one term
+    # overwritten
+    rng = random.Random(g.order)
+    pool = sorted(instances, key=lambda s: s.counts)
+    els = g.elements()
+    for _ in range(200):
+        params = [rng.randrange(g.n) for _ in range(2 if g.kind == CYCLIC else rng.randrange(2, 5))]
+        s = Sequence.from_counts(g, template_terms(g, *params))
+        assert (check_template(s) is not None) == (s in instances)
+        if pool:
+            s = rng.choice(pool)
+            old = rng.choice(s.support)
+            s = s.remove(Sequence.from_terms(g, [old])).concat(Sequence.from_terms(g, [rng.choice(els)]))
+            assert (check_template(s) is not None) == (s in instances)
+
+
 def test_infeasible_guard():
     with pytest.raises(InfeasibleSize):
-        enumerate_free(mk_metacyclic(15, 11), 44, 30, ceiling=1000)
+        enumerate_free(mk_metacyclic(15, 11), 44, 30)
     with pytest.raises(InfeasibleSize):
-        gao_constant(mk_metacyclic(15, 11), ceiling=1000)
+        gao_constant(mk_metacyclic(15, 11))
 
 
 @pytest.mark.parametrize(
@@ -184,9 +229,12 @@ def test_longest_free_level():
         enumerate_free(mk_cyclic(3), None, 2)
 
 
-def test_davenport_ceiling():
-    with pytest.raises(InfeasibleSize):
-        davenport_constant(mk_metacyclic(15, 11), ceiling=1000)
+def test_davenport_ceiling(monkeypatch):
+    # d(G30) = 15 finishes under the default ceiling, in about 10 s
+    monkeypatch.setattr(constants, "DEFAULT_CEILING", 1000)
+    with pytest.raises(InfeasibleSize) as err:
+        davenport_constant(mk_metacyclic(15, 11))
+    assert err.value.ceiling == 1000
 
 
 def test_apply_automorphism_preserves_freeness():

@@ -220,17 +220,25 @@ def test_budget_exceeded():
 
 
 def test_products_with_arranger():
-    s = seq_of(D6, Element(1, 0), Element(1, 1), Element(0, 1))
-    members, arrange = products_with_arranger(s)
-    for target in sorted(members):
-        arr = arrange(target)
-        prod = D6.identity
-        for el in arr:
-            prod = D6.mul(prod, el)
-        assert prod == target
-    missing = next(el for el in D6.elements() if el not in members)
-    with pytest.raises(KeyError):
-        arrange(missing)
+    c5c2 = mk_metacyclic(5, 1)  # C5 x C2
+    for s in (
+        seq_of(D6, Element(1, 0), Element(1, 1), Element(0, 1)),
+        Sequence.from_counts(c5c2, {Element(0, 2): 3, Element(1, 1): 2, Element(1, 4): 1}),
+    ):
+        g = s.group
+        members, arrange = products_with_arranger(s)
+        if g.is_abelian:
+            assert members == {Element(1, 2)}
+        for target in sorted(members):
+            arr = arrange(target)
+            prod = g.identity
+            for el in arr:
+                prod = g.mul(prod, el)
+            assert prod == target and len(arr) == s.length
+            assert verify_witness(s, ProductWitness(arr, target)) == (True, "ok")
+        missing = next(el for el in g.elements() if el not in members)
+        with pytest.raises(KeyError):
+            arrange(missing)
 
 
 def test_stabilizer_of_subproducts():
@@ -478,8 +486,8 @@ def test_saturated_subset_sum_matches_combinations_oracle():
 
 
 def test_pi_set_never_lists_terms(monkeypatch):
-    # pi(S) of commuting terms is a sum over the support; the term list is built
-    # only when an arranger is called
+    # pi(S), of commuting terms too, is a DP over the support; the term list is
+    # never built
     def no_terms(self):
         raise AssertionError("pi_set listed the terms")
 
@@ -489,3 +497,13 @@ def test_pi_set_never_lists_terms(monkeypatch):
     c6c2 = mk_metacyclic(6, 1)
     mixed = Sequence.from_counts(c6c2, {Element(0, 5): 2, Element(1, 1): 3, Element(1, 4): 2})
     assert pi_set(mixed) == {Element(1, 3)}
+
+
+def test_commuting_pi_charges_the_kernel():
+    # commuting terms take the kernel like any other: n cells per support entry
+    s = Sequence.from_counts(G30, {Element(0, 1): 3, Element(0, 2): 2})
+    assert pi_set(s, budget=30) == {Element(0, 7)}
+    with pytest.raises(BudgetExceeded) as info:
+        pi_set(s, budget=29)
+    assert info.value.used == 30 and info.value.limit == 29
+

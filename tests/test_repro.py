@@ -1,3 +1,5 @@
+import pytest
+
 from zerosum import repro
 from zerosum.groups import Element, mk_cyclic
 from zerosum.sequences import Sequence
@@ -25,3 +27,9 @@ def test_crit_dgm_reports_each_violation(monkeypatch):
         f"dgm-fuzz trials={repro.DGM_TRIALS} violations=1",
         'dgm-violation trial=7 group="cyclic n=4" n=2 lhs=1 rhs=2 : seq y^1 * 3',
     ]
+
+
+def test_suite_table():
+    assert repro.SUITE_NAMES == ("cyclic", "d6", "main-theorem", "main-theorem-wide", "dgm", "all")
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        repro.run_suite("nope")
