@@ -236,8 +236,7 @@ def _cmd_subproducts(args, out: _Out) -> int:
     seq = _load_sequence(args.seq, args.group)
     sub = subproducts(seq, args.n, _budget(args))
     out.emit(
-        f"Pi_{args.n}(S) has {len(sub.members)} element(s); stabilizer {sub.stabilizer.description} "
-        f"of order {sub.stabilizer.order}",
+        f"Pi_{args.n}(S) has {len(sub.members)} element(s); stabilizer of order {sub.stabilizer.order}",
         op="subproducts", n=args.n, size=len(sub.members), stabilizer_order=sub.stabilizer.order,
     )
     for el in sorted(sub.members):

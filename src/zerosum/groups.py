@@ -202,18 +202,15 @@ class Subgroup:
 
     group: GroupSpec
     members: frozenset[Element]
-    description: str = ""
 
     def __post_init__(self):
+        # in a finite group a non-empty subset closed under products already
+        # holds the identity and every inverse
         g = self.group
-        if g.identity not in self.members:
-            raise GroupError("subgroup must contain the identity")
-        for u in self.members:
-            g.check(u)
-            if g.inv(u) not in self.members:
-                raise GroupError(f"subgroup not closed under inverse at {format_element(u)}")
+        if not self.members:
+            raise GroupError("subgroup must be non-empty")
         table = mul_table(g)
-        idx = [g.element_index(u) for u in self.members]
+        idx = [g.element_index(g.check(u)) for u in self.members]
         inside = set(idx)
         for i in idx:
             row = table[i]
@@ -248,7 +245,7 @@ def stabilizer(g: GroupSpec, members: Iterable[Element]) -> Subgroup:
         h for h, row in zip(g.elements(), mul_table(g)) if all(row[i] in inside for i in idx)
     )
     assert (len(stab) == g.order) == (len(aset) == g.order)
-    return Subgroup(g, stab, "stab")
+    return Subgroup(g, stab)
 
 
 # -- literals -----------------------------------------------------------------

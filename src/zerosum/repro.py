@@ -189,24 +189,40 @@ def _length_9n2_sequence(g: GroupSpec, n2: int, rng: random.Random, near_templat
     return Sequence.from_terms(g, terms)
 
 
-def _witness_outcome(s: Sequence, k: int) -> tuple[bool, str]:
-    """(True, rung) for a verified length-k witness, else (False, reason)."""
+def _witness_trial(args) -> tuple[bool, str]:
+    """One seeded (group, n2, kind, seed) trial.  `uniform` and `near-template`
+    inputs of length 9*n2, and non-template ones of length 9*n2 - 1, must yield
+    a verified 6*n2-witness, reported by its rung; a free `template` of length
+    9*n2 - 1 must exhaust the search instead."""
+    g, n2, kind, seed = args
+    rng = random.Random(seed)
+    if kind == "template":
+        t2 = rng.randrange(g.n)
+        t1 = rng.choice([t for t in range(g.n) if math.gcd(t - t2, g.n) == 1])
+        s = Sequence.from_counts(g, template_terms(g, t1, t2, rng.randrange(g.n)))
+    elif kind == "non-template":
+        els = g.elements()
+        s = None
+        while s is None or check_template(s) is not None:
+            s = Sequence.from_terms(g, (els[rng.randrange(len(els))] for _ in range(9 * n2 - 1)))
+    else:
+        s = _length_9n2_sequence(g, n2, rng, kind == "near-template")
     trace: list[str] = []
     try:
         w = find_big_product_one(s, trace=trace)
     except BudgetExceeded:
         raise  # an exhausted budget is no verdict on the theorem
     except Exception as exc:  # noqa: BLE001 - tallied, not hidden
+        # exhausting a non-template input would be a brand-new extremal shape
+        if kind == "template" and isinstance(exc, WitnessSearchExhausted):
+            return True, "exhausted"
         return False, type(exc).__name__
+    if kind == "template":
+        return False, "witness-on-free-template"
     ok, reason = verify_witness(s, w)
-    if not ok or w.k != k:
+    if not ok or w.k != 6 * n2:
         return False, reason
     return True, trace_rung(trace)
-
-
-def _upper_trial(args) -> tuple[bool, str]:
-    seed, adversarial = args
-    return _witness_outcome(_length_9n2_sequence(G30, 5, random.Random(seed), adversarial), 30)
 
 
 def _rung_tally(results: list[tuple[bool, str]]) -> str:
@@ -218,88 +234,49 @@ def _rung_tally(results: list[tuple[bool, str]]) -> str:
     return " ".join(f"rung_{k.replace('-', '_')}={v}" for k, v in sorted(rungs.items()))
 
 
+def _sampled(name: str, detail: str, head: str, args: list, jobs: int) -> CriterionResult:
+    """One row: `head`, the failure count and the rung tally of the trials."""
+    results = _parallel_map(_witness_trial, args, jobs)
+    failures = sum(not okflag for okflag, _ in results)
+    return CriterionResult(name, not failures, detail, [f"{head} failures={failures} " + _rung_tally(results)])
+
+
 def crit_upper_sampled(seed: int = DEFAULT_SEED, jobs: int = 1) -> CriterionResult:
-    args = [(seed * 1_000_003 + i, False) for i in range(UPPER_TRIALS)]
-    args += [(seed * 2_000_003 + i, True) for i in range(UPPER_ADVERSARIAL)]
-    results = _parallel_map(_upper_trial, args, jobs)
-    failures = [r for r in results if not r[0]]
-    rows = [
-        f"upper trials={UPPER_TRIALS} adversarial={UPPER_ADVERSARIAL} failures={len(failures)} "
-        + _rung_tally(results)
-    ]
-    return CriterionResult(
+    args = [(G30, 5, "uniform", seed * 1_000_003 + i) for i in range(UPPER_TRIALS)]
+    args += [(G30, 5, "near-template", seed * 2_000_003 + i) for i in range(UPPER_ADVERSARIAL)]
+    return _sampled(
         "upper-sampled",
-        not failures,
         f"verified 6n2-witness on all {UPPER_TRIALS}+{UPPER_ADVERSARIAL} seeded length-9n2 samples",
-        rows,
+        f"upper trials={UPPER_TRIALS} adversarial={UPPER_ADVERSARIAL}",
+        args,
+        jobs,
     )
 
 
-def _inverse_trial(seed: int) -> tuple[bool, str]:
-    rng = random.Random(seed)
-    els = G30.elements()
-    while True:
-        s = Sequence.from_terms(G30, (els[rng.randrange(len(els))] for _ in range(44)))
-        if check_template(s) is None:
-            break
-    # WitnessSearchExhausted here would be a free non-template sequence, a
-    # brand-new extremal shape: it counts as a failure
-    return _witness_outcome(s, 30)
-
-
 def crit_inverse_sampled(seed: int = DEFAULT_SEED, jobs: int = 1) -> CriterionResult:
-    results = _parallel_map(_inverse_trial, [seed * 3_000_017 + i for i in range(INVERSE_TRIALS)], jobs)
-    failures = [label for okflag, label in results if not okflag]
-    rows = [f"inverse-sampled trials={INVERSE_TRIALS} failures={len(failures)} " + _rung_tally(results)]
-    return CriterionResult(
+    return _sampled(
         "inverse-sampled",
-        not failures,
         "every non-template length-(9n2-1) sample yields a verified 6n2-witness",
-        rows,
+        f"inverse-sampled trials={INVERSE_TRIALS}",
+        [(G30, 5, "non-template", seed * 3_000_017 + i) for i in range(INVERSE_TRIALS)],
+        jobs,
     )
 
 
 # -- the 9*n2 theorem on wider groups -----------------------------------------------------
 
 WIDE_GROUPS = ((mk_metacyclic(33, 23), 11), (mk_metacyclic(39, 14), 13), (mk_metacyclic(75, 26), 25))
-WIDE_KINDS = ("uniform", "near-template", "template")
-
-
-def _wide_trial(args) -> tuple[bool, str]:
-    """One (group index, kind, seed) trial: a verified 6*n2-witness on a
-    length-9*n2 input, or WitnessSearchExhausted on a free length-(9*n2-1)
-    template."""
-    gi, kind, seed = args
-    g, n2 = WIDE_GROUPS[gi]
-    rng = random.Random(seed)
-    if kind != "template":
-        return _witness_outcome(_length_9n2_sequence(g, n2, rng, kind == "near-template"), 6 * n2)
-    t2 = rng.randrange(g.n)
-    t1 = rng.choice([t for t in range(g.n) if math.gcd(t - t2, g.n) == 1])
-    s = Sequence.from_counts(g, template_terms(g, t1, t2, rng.randrange(g.n)))
-    try:
-        find_big_product_one(s)
-    except WitnessSearchExhausted:
-        return True, "exhausted"
-    except BudgetExceeded:
-        raise
-    except Exception as exc:  # noqa: BLE001 - tallied, not hidden
-        return False, type(exc).__name__
-    return False, "witness-on-free-template"
 
 
 def crit_main_theorem_wide(seed: int = DEFAULT_SEED, jobs: int = 1) -> CriterionResult:
     counts = {"uniform": WIDE_TRIALS, "near-template": WIDE_TRIALS, "template": WIDE_TEMPLATES}
-    args = [
-        (gi, kind) for gi in range(len(WIDE_GROUPS)) for kind in WIDE_KINDS for _ in range(counts[kind])
-    ]
-    results = _parallel_map(
-        _wide_trial, [(gi, kind, seed * 11_000_027 + i) for i, (gi, kind) in enumerate(args)], jobs
-    )
+    args = [(g, n2, kind) for g, n2 in WIDE_GROUPS for kind, count in counts.items() for _ in range(count)]
+    args = [(*a, seed * 11_000_027 + i) for i, a in enumerate(args)]
+    results = _parallel_map(_witness_trial, args, jobs)
     rows = []
     failed = 0
-    for gi, (g, _) in enumerate(WIDE_GROUPS):
-        mine = [(kind, r) for (gj, kind), r in zip(args, results) if gj == gi]
+    for g, _ in WIDE_GROUPS:
+        mine = [(kind, r) for (h, _, kind, _), r in zip(args, results) if h == g]
         failures = sum(not okflag for _, (okflag, _) in mine)
         exhausted = sum(okflag for kind, (okflag, _) in mine if kind == "template")
         failed += failures

@@ -197,6 +197,8 @@ def parse_sequence_file(text: str) -> Sequence:
 def _parse_seq_line(raw: str, group: GroupSpec, lineno: int) -> Sequence:
     body_at = raw.index("seq") + len("seq")
     body = raw[body_at:]
+    if not body.strip():
+        return Sequence.empty(group)
     counts: dict[Element, int] = {}
     offset = 0
     for chunk in body.split(","):
@@ -217,6 +219,4 @@ def _parse_seq_line(raw: str, group: GroupSpec, lineno: int) -> Sequence:
             raise SequenceParseError("multiplicity must be >= 1", lineno, col)
         counts[el] = counts.get(el, 0) + mult
         offset += len(chunk) + 1
-    if not counts:
-        raise SequenceParseError("empty seq line", lineno, body_at + 1)
     return Sequence.from_counts(group, counts)

@@ -85,7 +85,7 @@ def family_context(g: GroupSpec) -> FamilyContext:
     e1, _ = crt_scalars(g, f)
     w = (e1 // f.n1) % n2
     members = frozenset(el for el in g.elements() if el.a % n2 == 0)
-    kernel = Subgroup(g, members, f"<x, y^{n2}>")
+    kernel = Subgroup(g, members)
     return FamilyContext(group=g, n2=n2, kernel=kernel, _w=w)
 
 
@@ -115,12 +115,12 @@ class Decomposition:
 def make_decomposition(
     blocks: list[Sequence], remainder: Sequence, budget: int | None = None
 ) -> Decomposition:
-    kernel = family_context(remainder.group).kernel
+    fam = family_context(remainder.group)
     products, arrangers = [], []
     for b in blocks:
         pset, arrange = products_with_arranger(b, budget)
-        if min(pset) not in kernel:
-            raise ValueError(f"block {b} is not a product-{kernel.description} sequence")
+        if min(pset) not in fam.kernel:
+            raise ValueError(f"block {b} is not a product-<x, y^{fam.n2}> sequence")
         products.append(pset)
         arrangers.append(arrange)
     return Decomposition(tuple(blocks), remainder, tuple(products), tuple(arrangers))

@@ -60,14 +60,14 @@ def test_criterion_05_upper_sampled():
     t0 = time.time()
     r = repro.crit_upper_sampled(SEED)
     _report("criterion-5 upper-sampled", r.passed, time.time() - t0, 900, "; ".join(r.lines))
-    assert r.lines[0].startswith("upper trials=1000 adversarial=100 ")
+    assert r.lines == ["upper trials=1000 adversarial=100 failures=0 rung_direct=13 rung_pipeline=1001 rung_y_part=86"]
 
 
 def test_criterion_06_inverse_sampled():
     t0 = time.time()
     r = repro.crit_inverse_sampled(SEED)
     _report("criterion-6 inverse-sampled", r.passed, time.time() - t0, 900, "; ".join(r.lines))
-    assert r.lines[0].startswith("inverse-sampled trials=1000 ")
+    assert r.lines == ["inverse-sampled trials=1000 failures=0 rung_pipeline=990 rung_y_part=10"]
 
 
 def test_criterion_07_dgm_bound():
@@ -101,6 +101,10 @@ def test_main_theorem_wide():
     t0 = time.time()
     r = repro.crit_main_theorem_wide(SEED)
     _report("main-theorem-wide", r.passed, time.time() - t0, 120, "; ".join(r.lines))
-    assert len(r.lines) == len(repro.WIDE_GROUPS)
-    assert all(f"failures=0 exhausted={repro.WIDE_TEMPLATES} " in line for line in r.lines)
+    head = "uniform=200 near_template=200 templates=50 failures=0 exhausted=50"
+    assert r.lines == [
+        f'wide group="metacyclic n=33 s=23" {head} rung_direct=18 rung_pipeline=209 rung_y_part=173',
+        f'wide group="metacyclic n=39 s=14" {head} rung_direct=23 rung_pipeline=216 rung_y_part=161',
+        f'wide group="metacyclic n=75 s=26" {head} rung_direct=13 rung_pipeline=210 rung_y_part=177',
+    ]
     assert "main-theorem-wide" in repro.SUITE_NAMES

@@ -202,6 +202,20 @@ def test_subproducts_records(capsys, extremal_file):
     assert "op=subproducts n=2" in out
 
 
+def test_subproducts_human_line(capsys, extremal_file):
+    code, out, _ = run(capsys, "subproducts", "--seq", extremal_file, "--n", "2")
+    assert code == EXIT_OK
+    assert out.splitlines()[0] == "Pi_2(S) has 7 element(s); stabilizer of order 1"
+
+
+def test_pi_of_empty_sequence(capsys, tmp_path):
+    p = tmp_path / "empty.seq"
+    p.write_text("group metacyclic n=15 s=11\nseq \n")
+    code, out, _ = run(capsys, "pi", "--seq", str(p), "--records")
+    assert code == EXIT_OK
+    assert out.splitlines() == ["op=pi length=0 size=1", "member=1"]
+
+
 def test_env_budget(capsys, tmp_path, monkeypatch):
     p = tmp_path / "big.seq"
     terms = ", ".join(f"y^{a} * 1, x*y^{a} * 1" for a in range(15))

@@ -15,6 +15,7 @@ from zerosum.groups import (
     parse_element,
     parse_group,
     stabilizer,
+    Subgroup,
 )
 
 SMALL_GROUPS = [
@@ -159,6 +160,23 @@ def test_stabilizer_basics(g30):
     assert stabilizer(g30, y3).members == y3
     with pytest.raises(GroupError):
         stabilizer(g30, [])
+
+
+def test_subgroup_requires_closure(g30):
+    c5 = mk_cyclic(5)
+    y = Element(0, 1)
+    for g, members in ((c5, set()), (c5, {y}), (c5, {c5.identity, y})):
+        with pytest.raises(GroupError):
+            Subgroup(g, frozenset(members))
+    # {1, y^5, y^10, x}: closed under inverses, but y^5 * x = x*y^10 is outside
+    members = frozenset({g30.identity, Element(0, 5), Element(0, 10), Element(1, 0)})
+    assert all(g30.inv(u) in members for u in members)
+    with pytest.raises(GroupError, match="multiplication"):
+        Subgroup(g30, members)
+    y3 = frozenset(Element(0, a) for a in range(0, 15, 3))  # <y^3>
+    assert Subgroup(g30, y3).order == 5
+    kernel = frozenset(Element(e, a) for e in (0, 1) for a in range(0, 15, 5))  # <x, y^5>
+    assert Subgroup(g30, kernel).order == 6
 
 
 def test_literals_roundtrip():

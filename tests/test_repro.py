@@ -6,10 +6,13 @@ from zerosum.sequences import Sequence
 
 
 def test_parallel_map_matches_serial():
-    args = [(repro.DEFAULT_SEED * 1_000_003 + i, i % 4 == 3) for i in range(20)]
-    serial = [repro._upper_trial(a) for a in args]
-    assert repro._parallel_map(repro._upper_trial, args, 2) == serial
+    # every trial kind crosses the process boundary, GroupSpec included
+    kinds = ("uniform", "near-template", "non-template", "template")
+    args = [(repro.G30, 5, kinds[i % 4], repro.DEFAULT_SEED * 1_000_003 + i) for i in range(20)]
+    serial = [repro._witness_trial(a) for a in args]
+    assert repro._parallel_map(repro._witness_trial, args, 2) == serial
     assert all(ok for ok, _ in serial)
+    assert {label for _, label in serial[3::4]} == {"exhausted"}
 
 
 def test_crit_dgm_reports_each_violation(monkeypatch):

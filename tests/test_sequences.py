@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zerosum.groups import Element, mk_metacyclic
+from zerosum.groups import Element, mk_cyclic, mk_metacyclic
 from zerosum.sequences import (
     NotASubsequence,
     Sequence,
@@ -97,6 +97,11 @@ def test_parse_file_roundtrip():
     # whitespace-insensitive
     s2 = parse_sequence_file("group metacyclic n=15 s=11\nseq y^1*29,y^2 * 14 ,  x*y^7 *1\n")
     assert s2 == s
+    # a blank `seq ` body is the empty sequence, as gao prints the C1 certificate
+    for g in (mk_cyclic(1), G):
+        text = format_sequence_file(Sequence.empty(g))
+        assert text.endswith("\nseq \n")
+        assert parse_sequence_file(text) == Sequence.empty(g)
 
 
 def test_parse_errors_carry_position():

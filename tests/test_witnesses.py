@@ -22,7 +22,7 @@ from zerosum.products import (
     pi_set,
     verify_witness,
 )
-from zerosum.repro import _length_9n2_sequence, _upper_trial
+from zerosum.repro import _length_9n2_sequence, _witness_trial
 from zerosum.witnesses import (
     WitnessSearchExhausted,
     extract_product_h_blocks,
@@ -78,7 +78,7 @@ def test_extract_blocks_accounting():
     with pytest.raises(ValueError, match="44"):
         extract_product_h_blocks(Sequence.from_terms(G30, terms[:43]))
     # a block whose products leave the kernel is rejected
-    with pytest.raises(ValueError, match="not a product"):
+    with pytest.raises(ValueError, match=r"not a product-<x, y\^5> sequence"):
         make_decomposition([Sequence.from_terms(G30, [y(1)] + [y(0)] * 4)], Sequence.empty(G30))
 
 
@@ -198,7 +198,7 @@ def test_failed_whole_blocks_falls_to_kernel(monkeypatch):
         return w
 
     monkeypatch.setattr("zerosum.repro.find_big_product_one", traced)
-    assert _upper_trial((84000155, True)) == (True, "direct")
+    assert _witness_trial((G30, 5, "near-template", 84000155)) == (True, "direct")
     (s, trace, w), = traces
     assert sum(t.startswith("step=whole-blocks") for t in trace) == 1
     assert trace_rung(trace) == "direct"
@@ -250,7 +250,8 @@ def test_whole_blocks_matches_bfs_oracle():
     # the depth-first search returns the lexicographically first closing
     # (block, product) sequence, which is the one the breadth-first search
     # reaches first: same hit or none, same witness, same blocks= field
-    # the adversarial input of `_upper_trial((84000155, True))`: no closing composition
+    # the near-template input of `_witness_trial((G30, 5, "near-template", 84000155))`:
+    # no closing composition
     inputs = [(G30, 5, _length_9n2_sequence(G30, 5, random.Random(84000155), True))]
     rng = random.Random(10)
     for g, n2, count in ((G30, 5, 40), (G42, 7, 30), (mk_metacyclic(33, 23), 11, 15)):
